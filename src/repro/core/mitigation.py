@@ -159,6 +159,14 @@ class Mitigation(abc.ABC):
         by a caller degrade (see ``Tracker.batch_slack``)."""
         return 0
 
+    def budget_key_fn(self):
+        """How rows share :meth:`row_headroom` budgets: the tracker's
+        ``budget_key_fn`` (``None``, one budget per row, without a
+        tracker)."""
+        if self.tracker is None:
+            return None
+        return self.tracker.budget_key_fn()
+
     def observe_batch(self, rows) -> None:
         """Commit a fused span's activations to the tracker in bulk.
 

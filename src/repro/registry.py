@@ -152,8 +152,9 @@ class TrackerInfo:
     ``builder(threshold, timing)`` must return a tracker sized securely
     for that trigger threshold under the given :class:`DRAMTiming`.
     ``supports_batching`` declares that the tracker implements a useful
-    :meth:`~repro.trackers.base.Tracker.batch_horizon` (Hydra cannot: any
-    observation may miss its counter cache and cost DRAM accesses).
+    batching contract (:meth:`~repro.trackers.base.Tracker.batch_horizon`,
+    ``row_headroom``, ``batch_slack`` and a bit-identical
+    ``observe_batch``).
     """
 
     name: str

@@ -24,7 +24,11 @@ per bank and decomposed over the events a mitigation can generate:
   :meth:`~repro.core.mitigation.Mitigation.row_headroom` under
   :meth:`~repro.core.mitigation.Mitigation.batch_slack` — so one hot
   row parked just below the swap threshold only forces *its own*
-  activations to the scalar path, not every access to the bank;
+  activations to the scalar path, not every access to the bank. Rows
+  may share a headroom budget under
+  :meth:`~repro.core.mitigation.Mitigation.budget_key_fn`: Hydra's
+  rows in group mode share their group's, while its RCC-resident rows
+  own theirs, and its RCC misses (DRAM counter traffic) have none;
 - **row indirection** needs no span cut at all: resolves go through the
   *live* dict from
   :meth:`~repro.core.mitigation.Mitigation.resolve_map`, which full-path
@@ -52,10 +56,9 @@ re-hoist snapshots the bank's mitigation-event count and the next
 observation commit asserts it unchanged — a fused span provably never
 crosses a swap, pin, place-back, or counter access.
 
-Mitigations whose horizon, headroom, and slack are all 0 (Hydra-tracked
-banks: any observation may miss the counter cache and cost DRAM
-accesses) run access-by-access through the same calls the scalar engine
-makes — correct under this engine from day one, just not faster. The
+Mitigations whose horizon, headroom, and slack are all 0 (designs
+without the contract) run access-by-access through the same calls the
+scalar engine makes — correct under this engine, just not faster. The
 fast path assumes well-formed traces (rows in range, non-negative gaps);
 the scalar path's defensive checks are the ones that would catch
 malformed input.
@@ -164,12 +167,12 @@ class BatchedEngine(Engine):
         The fused loop runs while at least one bank's mitigation
         declares batchability (a positive horizon or positive slack for
         the per-row rescue); banks that cannot batch are serviced
-        scoped inside it. When *no* bank can batch — Hydra cells, or a
-        run whose horizons all died — accesses are serviced on the
-        scalar step *until the next refresh-window roll*: window ends
-        reset tracker state (and with it the horizons), so fused
-        eligibility is re-evaluated there instead of being forfeited
-        for the rest of the run.
+        scoped inside it. When *no* bank can batch — a design without
+        the contract, or a run whose horizons all died — accesses are
+        serviced on the scalar step *until the next refresh-window
+        roll*: window ends reset tracker state (and with it the
+        horizons), so fused eligibility is re-evaluated there instead of
+        being forfeited for the rest of the run.
         """
         from repro.workloads import plane
 
@@ -319,10 +322,13 @@ class BatchedEngine(Engine):
         # Batching-contract state, per bank. `rmaps` and `pinned` are
         # *live* views (mutated in place only by full-path calls);
         # horizon/slack/quiet are values, recomputed at every re-hoist;
-        # `safe` caches remaining per-row headrooms within the current
-        # span (valid because tracker state is frozen between commits).
+        # `safe` caches remaining headrooms per budget key within the
+        # current span (valid because tracker state is frozen between
+        # commits). `key_fns[b]` maps a row to its key (None: the row
+        # itself); keys may be shared, the way banks share a horizon.
         horizon_fns = [m.batch_horizon for m in mitigations]
         headroom_fns = [m.row_headroom for m in mitigations]
+        key_fns = [m.budget_key_fn() for m in mitigations]
         slack_fns = [m.batch_slack for m in mitigations]
         quiet_fns = [m.batch_quiet_until for m in mitigations]
         mit_stats = [m.stats for m in mitigations]
@@ -482,15 +488,15 @@ class BatchedEngine(Engine):
         def admit_act(b: int, row: int, finish: float) -> bool:
             """Gate one fused ACT on bank ``b``: tick quiet at the bank
             finish time, then charge the bank-wide horizon or — once it
-            is exhausted — the row's cached headroom under the slack
-            budget.
+            is exhausted — the cached headroom of the row's budget key
+            under the slack budget.
 
             The moment the horizon exhausts, the bank switches to
             *rescue mode* for the rest of the span: its deferred
             observations are committed once (``observe_batch`` plus a
             slack recompute — tracker state only, the hoisted timing
             state stays live) and every further ACT is charged to its
-            row's cached headroom. The one-time commit keeps the two
+            budget key's cached headroom. The one-time commit keeps the two
             budgets sound against each other: per-row headrooms are
             only ever computed and cached against fully-committed
             tracker state, so horizon-admitted activations of a row can
@@ -501,8 +507,10 @@ class BatchedEngine(Engine):
             every ACT, while one commit per span amortizes to nothing.
             Every admitted ACT is a deferred observation, so it always
             consumes one unit of slack; headroom admissions after the
-            commit decrement their cache entry, so each row's committed
-            count plus pending observations stays below threshold.
+            commit decrement their key's cache entry, so each key's
+            committed count plus pending observations stays within its
+            budget — per row for most trackers, per cold group for
+            Hydra, whose rows in group mode share one group counter.
             """
             if finish >= quiet[b]:
                 return False
@@ -520,11 +528,13 @@ class BatchedEngine(Engine):
             sl = slack[b]
             if sl > 0:
                 safe_b = safe[b]
-                headroom = safe_b.get(row)
+                key_fn = key_fns[b]
+                key = row if key_fn is None else key_fn(row)
+                headroom = safe_b.get(key)
                 if headroom is None:
                     headroom = headroom_fns[b](row)
                 if headroom > 0:
-                    safe_b[row] = headroom - 1
+                    safe_b[key] = headroom - 1
                     slack[b] = sl - 1
                     return True
             return False

@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict
+from typing import Callable, Dict, Hashable, Optional
 
 import numpy as np
 
@@ -72,19 +72,19 @@ class Tracker(abc.ABC):
         ``extra_dram_accesses == 0``. The base implementation returns 0
         (no guarantee — every observation must go through the scalar
         path); trackers whose state admits a cheap bound override it.
-        Hydra deliberately does not: any observation may miss its counter
-        cache and cost DRAM accesses, so its horizon is always 0.
         """
         return 0
 
     def row_headroom(self, row: int) -> int:
-        """Observations of ``row`` alone guaranteed not to trigger.
+        """Observations of ``row``'s budget key guaranteed not to trigger.
 
-        Returns ``k`` such that the next ``k`` observations *of this
-        row* return ``triggered=False`` with no DRAM side traffic,
-        however they interleave with observations of other rows —
-        provided the total number of observations deferred since the
-        tracker was last consulted stays within :meth:`batch_slack`.
+        Returns ``k`` such that the next ``k`` observations *of rows
+        sharing this row's* :meth:`budget_key_fn` *key* (just the row
+        itself, by default) return ``triggered=False`` with no DRAM
+        side traffic, however they interleave with observations of
+        other keys — provided the total number of observations deferred
+        since the tracker was last consulted stays within
+        :meth:`batch_slack`.
         This is the per-row rescue the batched engine uses when the
         row-agnostic :meth:`batch_horizon` is exhausted (one hot row
         sitting just below the threshold would otherwise force every
@@ -105,6 +105,19 @@ class Tracker(abc.ABC):
         returns 0 (no per-row guarantees at all).
         """
         return 0
+
+    def budget_key_fn(self) -> Optional[Callable[[int], Hashable]]:
+        """How rows share :meth:`row_headroom` budgets.
+
+        ``None`` (the default) means every row owns its budget. A
+        tracker whose rows share a budget returns a function mapping a
+        row to its budget key; a caller deferring observations must
+        charge each one to its row's key, and may cache one remaining
+        budget per key. Keys must stay fixed while observations are
+        deferred (Hydra: a group's rows share one key until the group
+        turns hot, which only a full-path observation can do).
+        """
+        return None
 
     @abc.abstractmethod
     def reset_row(self, row: int) -> None:

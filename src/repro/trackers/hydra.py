@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.registry import register_tracker
 from repro.trackers.base import Tracker, TrackerObservation
@@ -48,6 +48,7 @@ class HydraConfig:
     "hydra",
     description="Hydra group/row hybrid with a DRAM-backed counter cache",
     builder=lambda threshold, timing: HydraTracker(threshold, HydraConfig()),
+    supports_batching=True,
 )
 class HydraTracker(Tracker):
     """Two-level group/row tracker with a counter cache.
@@ -56,10 +57,24 @@ class HydraTracker(Tracker):
     the group threshold when a group transitions to per-row mode, so a
     row's estimate is always at least its true count.
 
-    Hydra inherits the default ``batch_horizon() == 0``: any observation
-    may miss the RCC and generate DRAM counter traffic, so no span of
-    observations is ever side-effect free and the batched simulation
-    engine services Hydra-tracked banks access by access.
+    Batching contract (see :meth:`Tracker.batch_horizon`). Only two
+    kinds of observation are free of triggers and DRAM counter traffic,
+    and the batched simulation engine defers exactly those:
+
+    - a row whose group is still in group mode, as long as the group
+      counter stays below the group threshold. All rows of such a group
+      share one budget, ``group_threshold - 1 - GCT[group]``, so
+      :meth:`budget_key_fn` keys them by their group;
+    - a row of a hot group whose counter is resident in the RCC, as
+      long as its count stays below the row threshold. The hit's only
+      side effect is LRU recency, which :meth:`observe_batch` replays in
+      order. Its budget is ``threshold - 1 - count``, keyed by the row.
+
+    Every other observation (an RCC miss, a group transition, a
+    trigger) goes through :meth:`observe` on the full path. Budgets of
+    different keys never interact: cold-group observations do not touch
+    the RCC and resident hits do not evict, so :meth:`batch_slack` is
+    unbounded.
     """
 
     def __init__(self, threshold: int, config: Optional[HydraConfig] = None):
@@ -72,6 +87,9 @@ class HydraTracker(Tracker):
             int(threshold * self.config.group_threshold_fraction),
         )
         self._group_counts: Dict[int, int] = {}
+        # Largest group count this window (group counts only grow until
+        # `end_window`), for an O(1) `batch_horizon`.
+        self._group_max = 0
         self._hot_groups: Set[int] = set()
         # Row counters for rows in hot groups live in DRAM; the RCC caches
         # them. `_row_counts` is the DRAM-resident truth.
@@ -79,6 +97,7 @@ class HydraTracker(Tracker):
         self._rcc: "OrderedDict[int, int]" = OrderedDict()
         self.rcc_hits = 0
         self.rcc_misses = 0
+        self.rcc_evictions = 0
         self.dram_counter_accesses = 0
 
     def _group_of(self, row: int) -> int:
@@ -93,9 +112,9 @@ class HydraTracker(Tracker):
         self.rcc_misses += 1
         extra = 1  # read the counter from DRAM
         if len(self._rcc) >= self.config.rcc_entries:
-            evicted_row, _ = self._rcc.popitem(last=False)
+            self._rcc.popitem(last=False)
+            self.rcc_evictions += 1
             extra += 1  # write back the dirty evicted counter
-            del evicted_row
         self._rcc[row] = self._row_counts.get(row, 0)
         self.dram_counter_accesses += extra
         return extra
@@ -105,6 +124,8 @@ class HydraTracker(Tracker):
         if group not in self._hot_groups:
             count = self._group_counts.get(group, 0) + 1
             self._group_counts[group] = count
+            if count > self._group_max:
+                self._group_max = count
             if count >= self.group_threshold:
                 # Transition: per-row counters initialised (lazily) to the
                 # group threshold — a safe over-estimate for each row.
@@ -129,6 +150,103 @@ class HydraTracker(Tracker):
             )
         )
 
+    def observe_batch(self, rows) -> None:
+        """Bulk :meth:`observe` with the side-effect-free arms inlined.
+
+        Bit-identical to calling :meth:`observe` per row: cold-group
+        increments and RCC hits (``move_to_end`` plus the count update)
+        run in the same order, so ``_rcc`` recency and ``rcc_hits`` stay
+        exact. Any row that would transition its group, miss the RCC,
+        or trigger (a caller overran its budget) is delegated to
+        :meth:`observe`, so that bookkeeping stays exactly the scalar
+        path's.
+        """
+        rows_per_group = self.config.rows_per_group
+        group_threshold = self.group_threshold
+        threshold = self.threshold
+        hot = self._hot_groups
+        group_counts = self._group_counts
+        row_counts = self._row_counts
+        rcc = self._rcc
+        group_max = self._group_max
+        seen = 0
+        hits = 0
+        for row in rows:
+            group = row // rows_per_group
+            if group not in hot:
+                count = group_counts.get(group, 0) + 1
+                if count < group_threshold:
+                    group_counts[group] = count
+                    if count > group_max:
+                        group_max = count
+                    seen += 1
+                    continue
+            elif row in rcc:
+                count = row_counts.get(row, group_threshold) + 1
+                if count < threshold:
+                    rcc.move_to_end(row)
+                    row_counts[row] = count
+                    rcc[row] = count
+                    hits += 1
+                    seen += 1
+                    continue
+            self.observations += seen
+            self.rcc_hits += hits
+            self._group_max = group_max
+            seen = hits = 0
+            self.observe(row)
+            group_max = self._group_max
+        self.observations += seen
+        self.rcc_hits += hits
+        self._group_max = group_max
+
+    def batch_horizon(self) -> int:
+        """Observations of any rows that cannot trigger or touch DRAM.
+
+        While no group is hot, every observation is a group-counter
+        increment, and ``group_threshold - 1 - max(GCT)`` of them cannot
+        complete a transition. Once any group is hot, an observation of
+        one of its rows may miss the RCC, so the bank-wide horizon is 0
+        and the per-key budgets of :meth:`row_headroom` take over.
+        """
+        if self._hot_groups:
+            return 0
+        return max(0, self.group_threshold - 1 - self._group_max)
+
+    def row_headroom(self, row: int) -> int:
+        """Remaining budget of ``row``'s budget key (see the class doc).
+
+        A cold group's rows share ``group_threshold - 1 - GCT[group]``;
+        an RCC-resident row of a hot group has
+        ``threshold - 1 - count``; a non-resident row of a hot group has
+        0, since its next observation misses the RCC.
+        """
+        group = row // self.config.rows_per_group
+        if group not in self._hot_groups:
+            return max(
+                0, self.group_threshold - 1 - self._group_counts.get(group, 0)
+            )
+        if row not in self._rcc:
+            return 0
+        return max(
+            0, self.threshold - 1 - self._row_counts.get(row, self.group_threshold)
+        )
+
+    def batch_slack(self) -> int:
+        """Budgets of different keys never interact: unbounded."""
+        return 1 << 62
+
+    def budget_key_fn(self) -> Callable[[int], int]:
+        """Cold rows share their group's budget; hot rows own theirs."""
+        return self._budget_key
+
+    def _budget_key(self, row: int) -> int:
+        # Groups map to negative keys so they never collide with rows.
+        group = row // self.config.rows_per_group
+        if group in self._hot_groups:
+            return row
+        return -1 - group
+
     def count(self, row: int) -> int:
         group = self._group_of(row)
         if group in self._hot_groups:
@@ -143,6 +261,7 @@ class HydraTracker(Tracker):
 
     def end_window(self) -> None:
         self._group_counts.clear()
+        self._group_max = 0
         self._hot_groups.clear()
         self._row_counts.clear()
         self._rcc.clear()

@@ -724,21 +724,31 @@ def keyed_pending(
 def _expected_cost(cell: Any) -> float:
     """Relative wall-clock estimate of one cell (scheduling heuristic).
 
-    Demand accesses dominate, scaled up for cells the batched engine
-    cannot fuse (explicit scalar engine, or a Hydra-tracked cell under
-    ``auto``) and for mitigation cells (swaps add work over baseline).
-    Only relative order matters: largest-first within a workload group
-    keeps the long pole off the tail of the schedule.
+    Demand accesses dominate, scaled up for cells that run on the
+    scalar engine (explicit, or what ``auto`` resolves to from the
+    registry's ``supports_batching`` metadata) and for mitigation cells
+    (swaps add work over baseline). Only relative order matters:
+    largest-first within a workload group keeps the long pole off the
+    tail of the schedule.
     """
+    from repro.sim.engine import resolve_engine_name
+
     params = getattr(cell, "params", None)
     requests = getattr(params, "requests_per_core", 0) or 0
     cores = getattr(params, "num_cores", 1) or 1
     cost = float(requests * cores)
+    mitigation = getattr(cell, "mitigation", "baseline")
     engine = getattr(params, "engine", "")
-    tracker = getattr(params, "tracker", "")
-    if engine == "scalar" or tracker == "hydra":
+    if engine:
+        try:
+            engine = resolve_engine_name(
+                engine, mitigation, getattr(params, "tracker", "")
+            )
+        except ValueError:
+            pass  # unregistered names: keep the literal engine name
+    if engine == "scalar":
         cost *= 3.0
-    if getattr(cell, "mitigation", "baseline") != "baseline":
+    if mitigation != "baseline":
         cost *= 1.5
     return cost
 

@@ -29,8 +29,14 @@ from repro.sim.experiment import resolve_workload, result_to_dict
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
 from repro.workloads.columnar import ColumnarTrace
 from repro.trackers.base import ExactTracker
-from repro.trackers.hydra import HydraTracker
+from repro.trackers.hydra import HydraConfig, HydraTracker
 from repro.trackers.misra_gries import MisraGriesTracker
+
+#: A Hydra small enough that RCC evictions, group transitions and
+#: triggers all happen within a few thousand observations.
+SMALL_HYDRA = HydraConfig(
+    rows_per_group=8, rcc_entries=4, group_threshold_floor=4
+)
 
 BASE = SimulationParams(
     num_cores=2,
@@ -244,6 +250,80 @@ class TestSpanCuts:
         finally:
             MITIGATIONS.remove(name)
 
+    @pytest.mark.parametrize(
+        "policy", [PagePolicy.CLOSED, PagePolicy.OPEN], ids=["closed", "open"]
+    )
+    @pytest.mark.parametrize("mitigation", ["rrs", "srs", "scale-srs"])
+    def test_hydra_fuses_through_rcc_evictions_and_group_transitions(
+        self, mitigation, policy
+    ):
+        # A test-only Hydra with a 4-entry RCC and a low group floor:
+        # groups turn hot and the RCC evicts many times within each
+        # window. Cold-group and RCC-hit observations fuse, misses and
+        # transitions go scoped — and the two engines must agree on the
+        # results *and* on every tracker's final state, RCC recency
+        # order and hit/miss counts included.
+        from repro.registry import TRACKERS, register_tracker
+
+        name = "hydra-small-test"
+        register_tracker(
+            name,
+            builder=lambda threshold, timing: HydraTracker(
+                threshold, SMALL_HYDRA
+            ),
+            supports_batching=True,
+        )(HydraTracker)
+        try:
+            params = replace(BASE, tracker=name, policy=policy)
+            spec = resolve_workload("gcc")
+            scalar_sim = PerformanceSimulation(
+                spec, mitigation, replace(params, engine="scalar")
+            )
+            scalar = scalar_sim.run()
+            batched_sim = PerformanceSimulation(
+                spec, mitigation, replace(params, engine="batched")
+            )
+            engine = BatchedEngine()
+            batched = batched_sim.run(engine=engine)
+            assert comparable(scalar) == comparable(batched)
+            counters = engine.counters
+            assert counters["fast_accesses"] > counters["scalar_accesses"]
+            assert counters["scoped_accesses"] > 0
+            assert counters["span_checks"] > 0
+            trackers = [
+                (a.tracker, b.tracker)
+                for a, b in zip(
+                    scalar_sim.memory.mitigations,
+                    batched_sim.memory.mitigations,
+                )
+            ]
+            # RCC hits need hot groups (only they use the RCC), and
+            # evictions need a full RCC.
+            assert sum(a.rcc_evictions for a, _ in trackers) > 0
+            assert sum(a.rcc_hits for a, _ in trackers) > 0
+            for a, b in trackers:
+                for attribute in (
+                    "observations", "triggers", "rcc_hits", "rcc_misses",
+                    "rcc_evictions", "dram_counter_accesses",
+                    "_group_counts", "_hot_groups", "_row_counts",
+                ):
+                    assert getattr(a, attribute) == getattr(b, attribute)
+                assert list(a._rcc.items()) == list(b._rcc.items())
+        finally:
+            TRACKERS.remove(name)
+
+    def test_hydra_cells_stay_mostly_fused(self):
+        # The registered Hydra under auto: bit-identical, with RCC
+        # misses serviced scoped and nearly everything else fused.
+        params = replace(BASE, tracker="hydra")
+        scalar, batched, engine = run_both("gcc", "rrs", params)
+        assert comparable(scalar) == comparable(batched)
+        counters = engine.counters
+        fused = counters["fast_accesses"] / scalar.total_memory_accesses
+        assert fused > 0.9
+        assert counters["scoped_accesses"] > 0
+        assert counters["fused_entries"] == 1
+
     def test_swap_cells_stay_mostly_fused(self):
         # The point of the batched swap path: a cell that actually
         # swaps must still fuse the majority of its accesses, with the
@@ -323,11 +403,13 @@ class TestEngineSelection:
                     == "batched"
                 )
 
-    def test_auto_picks_scalar_for_hydra_tracked_cells(self):
-        # Hydra declares no batchability (any observation can miss the
-        # counter cache and cost DRAM time), so auto stays scalar there.
+    def test_auto_picks_batched_for_hydra_tracked_cells(self):
+        # Hydra declares the group/RCC contract (cold groups and
+        # RCC-resident rows fuse, RCC misses go scoped), so auto fuses.
         for mitigation in ("rrs", "srs", "scale-srs"):
-            assert resolve_engine_name("auto", mitigation, "hydra") == "scalar"
+            assert resolve_engine_name("auto", mitigation, "hydra") == "batched"
+        # Designs without the contract still resolve scalar.
+        assert resolve_engine_name("auto", "aqua", "hydra") == "scalar"
 
     def test_explicit_names_pass_through(self):
         assert resolve_engine_name("scalar", "baseline", "exact") == "scalar"
@@ -340,7 +422,8 @@ class TestEngineSelection:
     def test_make_engine_builds_the_resolved_engine(self):
         assert isinstance(make_engine("auto", "baseline", "exact"), BatchedEngine)
         assert isinstance(make_engine("auto", "rrs", "exact"), BatchedEngine)
-        assert isinstance(make_engine("auto", "rrs", "hydra"), ScalarEngine)
+        assert isinstance(make_engine("auto", "rrs", "hydra"), BatchedEngine)
+        assert isinstance(make_engine("auto", "aqua", "hydra"), ScalarEngine)
         assert "scalar" in ENGINE_NAMES and "batched" in ENGINE_NAMES
 
     def test_env_var_sets_default(self, monkeypatch):
@@ -401,8 +484,12 @@ class TestBatchHooks:
 
     @pytest.mark.parametrize(
         "factory",
-        [lambda: ExactTracker(32), lambda: MisraGriesTracker(32, 8)],
-        ids=["exact", "misra-gries"],
+        [
+            lambda: ExactTracker(32),
+            lambda: MisraGriesTracker(32, 8),
+            lambda: HydraTracker(32, SMALL_HYDRA),
+        ],
+        ids=["exact", "misra-gries", "hydra"],
     )
     def test_horizon_never_admits_a_trigger(self, factory):
         tracker = factory()
@@ -419,8 +506,78 @@ class TestBatchHooks:
                     assert observation.extra_dram_accesses == 0
             position += max(1, horizon)
 
-    def test_hydra_declares_no_horizon(self):
-        assert HydraTracker(64).batch_horizon() == 0
+    def test_hydra_horizon_spans_cold_groups_only(self):
+        # While every group is cold the horizon is the distance of the
+        # fullest group from its transition; once any group is hot an
+        # observation may miss the RCC, so the horizon is 0 until the
+        # window ends.
+        tracker = HydraTracker(32, SMALL_HYDRA)
+        assert tracker.batch_horizon() == tracker.group_threshold - 1
+        tracker.observe(0)
+        tracker.observe(1)
+        assert tracker.batch_horizon() == tracker.group_threshold - 3
+        while tracker.batch_horizon() > 0:
+            tracker.observe(0)
+        assert not tracker._hot_groups
+        tracker.observe(0)
+        assert tracker._hot_groups
+        assert tracker.batch_horizon() == 0
+        tracker.end_window()
+        assert tracker.batch_horizon() == tracker.group_threshold - 1
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_hydra_budgets_defer_only_side_effect_free_observations(
+        self, seed
+    ):
+        # The engine's admission rule in miniature: charge each row to
+        # its budget key's cached headroom, defer while budget remains,
+        # and otherwise commit the deferred rows with observe_batch and
+        # observe the row on the full path. A tiny RCC and group floor
+        # force evictions, group transitions and triggers mid-stream.
+        # Every deferred row must be trigger- and DRAM-free on the
+        # sequential reference, and the end state must match it.
+        rng = np.random.default_rng(seed)
+        hot = rng.integers(0, 80, 3)
+        rows = np.where(
+            rng.random(3000) < 0.7,
+            hot[rng.integers(0, 3, 3000)],
+            rng.integers(0, 80, 3000),
+        ).tolist()
+        reference = HydraTracker(24, SMALL_HYDRA)
+        batched = HydraTracker(24, SMALL_HYDRA)
+        key_fn = batched.budget_key_fn()
+        deferred, safe = [], {}
+        admitted = 0
+        for row in rows:
+            observation = reference.observe(row)
+            key = key_fn(row)
+            headroom = safe.get(key)
+            if headroom is None:
+                headroom = batched.row_headroom(row)
+            if headroom > 0:
+                safe[key] = headroom - 1
+                deferred.append(row)
+                admitted += 1
+                assert not observation.triggered
+                assert observation.extra_dram_accesses == 0
+                continue
+            batched.observe_batch(deferred)
+            deferred, safe = [], {}
+            assert batched.observe(row) == observation
+        batched.observe_batch(deferred)
+        assert admitted > len(rows) // 4
+        assert reference.rcc_evictions > 0
+        assert reference.triggers > 0
+        for attribute in (
+            "observations", "triggers", "rcc_hits", "rcc_misses",
+            "rcc_evictions", "dram_counter_accesses", "_group_counts",
+            "_group_max",
+            "_hot_groups", "_row_counts",
+        ):
+            assert getattr(batched, attribute) == getattr(
+                reference, attribute
+            ), attribute
+        assert list(batched._rcc.items()) == list(reference._rcc.items())
 
     def test_horizon_resets_with_the_window(self):
         tracker = ExactTracker(16)

@@ -178,6 +178,31 @@ class TestTracesFor:
         assert not plane.local_stats()
 
 
+class TestExpectedCost:
+    """The affinity scheduler's cost heuristic follows the registry."""
+
+    @staticmethod
+    def cell(mitigation, **params):
+        spec = dataclasses.replace(small_spec(**params), mitigations=[mitigation])
+        (cell,) = [c for c in plan_cells(spec) if c.mitigation == mitigation]
+        return cell
+
+    def test_scalar_resolving_cells_cost_three_times_as_much(self):
+        fused = plane._expected_cost(self.cell("rrs", engine="auto"))
+        scalar = plane._expected_cost(self.cell("rrs", engine="scalar"))
+        assert scalar == 3 * fused
+
+    def test_hydra_cells_fuse_under_auto(self):
+        hydra = self.cell("rrs", engine="auto", tracker="hydra")
+        misra = self.cell("rrs", engine="auto", tracker="misra-gries")
+        assert plane._expected_cost(hydra) == plane._expected_cost(misra)
+
+    def test_designs_without_the_contract_resolve_scalar(self):
+        aqua = self.cell("aqua", engine="auto", tracker="hydra")
+        rrs = self.cell("rrs", engine="auto", tracker="hydra")
+        assert plane._expected_cost(aqua) == 3 * plane._expected_cost(rrs)
+
+
 class TestSharedMemory:
     def test_roundtrip_is_exact_and_readonly(self):
         spec = resolve_workload("povray")

@@ -135,6 +135,49 @@ def run_interrupt_cell(cell):
                       cell.params)
 
 
+@dataclasses.dataclass(frozen=True)
+class KillParams:
+    marker: str = ""
+
+
+@dataclasses.dataclass
+class KillResult:
+    kind: ClassVar[str] = "pool-sigkill"
+
+    workload: str
+    mitigation: str
+    value: int
+    params: object = None
+
+
+#: Two workers, unit costs: chunk_plan splits these 12 cells into two
+#: chunks of six, and "kill" sits in the middle of the first one.
+KILL_SUBJECTS = ("s0", "s1", "s2", "kill", "s3", "s4") + tuple(
+    f"t{i}" for i in range(6)
+)
+
+
+def run_kill_cell(cell):
+    """A cell whose "kill" subject SIGKILLs its own worker process, once.
+
+    The marker file makes the kill one-shot (a rerun computes the cell
+    normally), and the parent-process guard keeps a serial in-process
+    run from ever killing the test runner itself.
+    """
+    if cell.mitigation == "kill" and not os.path.exists(cell.params.marker):
+        import multiprocessing
+        import signal
+
+        if multiprocessing.parent_process() is not None:
+            with open(cell.params.marker, "w"):
+                pass
+            # Let the other worker's chunk finish and reach the store.
+            time.sleep(1.0)
+            os.kill(os.getpid(), signal.SIGKILL)
+    value = sum(ord(ch) for ch in cell.mitigation) * 7919 % 10007
+    return KillResult(cell.workload, cell.mitigation, value, cell.params)
+
+
 @pytest.fixture
 def flaky_kind():
     register_evaluation(
@@ -252,6 +295,58 @@ class TestFailurePaths:
         with pytest.raises(KeyboardInterrupt):
             run_grid(spec, store=str(store_dir), pool=ProcessPool(1))
         assert entry_files(store_dir) == []
+
+
+class TestWorkerFaults:
+    """Faults real runs hit, each injected, each recoverable by reuse."""
+
+    @pytest.fixture
+    def kill_kind(self, tmp_path):
+        register_evaluation(
+            "pool-sigkill",
+            params_cls=KillParams,
+            result_cls=KillResult,
+            subjects=KILL_SUBJECTS,
+        )(run_kill_cell)
+        yield ExperimentSpec(
+            kind="pool-sigkill",
+            mitigations=list(KILL_SUBJECTS),
+            base_params=KillParams(marker=str(tmp_path / "killed")),
+        )
+        EVALUATIONS.remove("pool-sigkill")
+
+    def test_worker_sigkill_mid_chunk(self, kill_kind, tmp_path):
+        """A worker SIGKILLed mid-chunk aborts the grid with a
+        RuntimeError; whatever reached the store reads back intact, and
+        a rerun with reuse executes only the missing cells, finishing
+        bit-identical to a serial run."""
+        from repro.sim.experiment import plan_cells
+
+        store_dir = tmp_path / "store"
+        with pytest.raises(RuntimeError):
+            run_grid(kill_kind, store=str(store_dir), pool=ProcessPool(2))
+        assert os.path.exists(kill_kind.base_params.marker)
+        serial = run_grid(kill_kind, max_workers=1)
+        expected = {
+            result.mitigation: result for result in serial.results
+        }
+        cells = plan_cells(kill_kind)
+        store = ResultStore(str(store_dir))
+        stored = {}
+        for cell in cells:
+            result = store.get(cell)
+            if result is not None:
+                stored[cell.mitigation] = result
+                assert result == expected[cell.mitigation]
+        # The other worker's chunk was stored; the kill cell was not.
+        assert 0 < len(stored) < len(cells)
+        assert "kill" not in stored
+        resumed = run_grid(
+            kill_kind, store=str(store_dir), pool=ProcessPool(2)
+        )
+        assert resumed.run_stats.reused == len(stored)
+        assert resumed.run_stats.executed == len(cells) - len(stored)
+        assert resumed.to_json() == serial.to_json()
 
 
 class TestHostParsing:
