@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.attacks.analytical import AttackParameters, JuggernautModel
+from repro.attacks.harness import play_run
 from repro.core.mitigation import Mitigation
 
 
@@ -68,19 +69,14 @@ class JuggernautAttacker:
         self.demand_activations = 0
 
     def _hammer(self, time: float, row: int, count: int, deadline: float) -> float:
-        """Activate logical ``row`` ``count`` times; returns the new time."""
-        for _ in range(count):
-            if time >= deadline:
-                return time
-            physical = self.mitigation.resolve(row)
-            if self.mitigation.is_pinned(row):
-                # Scale-SRS pinned the row: accesses hit in the LLC and
-                # produce no DRAM activations. Hammering it is wasted time.
-                time += self.bank.timing.t_rc
-                continue
-            result = self.bank.access(time, physical)
-            self.demand_activations += 1
-            time = max(result.finish, self.mitigation.on_activation(result.finish, row))
+        """Activate logical ``row`` ``count`` times; returns the new time.
+
+        Played by the hammer harness's run step (no disturbance model).
+        Accesses to a row Scale-SRS pinned hit in the LLC and produce no
+        DRAM activations: hammering it is wasted time.
+        """
+        time, issued = play_run(self.mitigation, None, row, count, time, deadline)
+        self.demand_activations += issued
         return time
 
     def run_window(

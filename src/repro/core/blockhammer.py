@@ -21,7 +21,7 @@ The paper's complaints, both reproducible here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.cat import _splitmix64
 from repro.core.mitigation import (
@@ -58,12 +58,17 @@ class CountingBloomFilter:
         self._seeds = [
             _splitmix64(seed + i) for i in range(self.params.num_hashes)
         ]
+        # Slots are a pure function of the row and the seeds: computed
+        # once per row, so at most one entry per row of the bank.
+        self._slot_memo: Dict[int, Tuple[int, ...]] = {}
 
-    def _slots(self, row: int) -> List[int]:
-        mask = self.params.num_counters
-        return [
-            _splitmix64(row ^ seed) % mask for seed in self._seeds
-        ]
+    def _slots(self, row: int) -> Tuple[int, ...]:
+        slots = self._slot_memo.get(row)
+        if slots is None:
+            size = self.params.num_counters
+            slots = tuple(_splitmix64(row ^ seed) % size for seed in self._seeds)
+            self._slot_memo[row] = slots
+        return slots
 
     def insert(self, row: int) -> int:
         """Count one activation; returns the new estimate."""

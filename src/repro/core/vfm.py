@@ -22,7 +22,7 @@ baselines for the motivation experiments (see
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.mitigation import (
     Mitigation,
@@ -92,7 +92,18 @@ class PARA(VictimRefreshMitigation):
     ``p``. For protection, ``p`` must satisfy roughly
     ``(1 - p)^TRH << 1``; the default picks ``p = 8 / TRH``, giving a
     ~3e-4 per-window escape probability.
+
+    Batching contract: the coin flips are drawn from ``rng`` ahead of
+    use, :data:`DRAW_BUFFER` at a time, and consumed one per
+    activation in draw order, so every activation sees the draw it saw
+    when drawing on demand. The leading draws ``>= p`` are activations
+    guaranteed not to refresh, whatever their rows: that count is
+    :meth:`row_headroom` and also :meth:`batch_slack`. ``rng`` may
+    therefore run up to one buffer ahead of the draws consumed.
     """
+
+    #: Coin flips drawn from ``rng`` per refill.
+    DRAW_BUFFER = 1024
 
     def __init__(
         self,
@@ -111,11 +122,49 @@ class PARA(VictimRefreshMitigation):
         if not 0.0 < self.probability <= 1.0:
             raise ValueError("probability must be in (0, 1]")
         self.rng = rng or random.Random(0x9A7A)
+        self._draws: List[float] = []
+        # Next draw to consume, and the first draw at or after it below
+        # `probability` (len(_draws) when the buffer holds none).
+        self._next = 0
+        self._refresh_at = 0
+
+    def _quiet_draws(self) -> int:
+        """Leading unconsumed draws ``>= p``, refilling an empty buffer."""
+        if self._next == len(self._draws):
+            draw = self.rng.random
+            self._draws = [draw() for _ in range(self.DRAW_BUFFER)]
+            self._next = 0
+            self._find_refresh()
+        return self._refresh_at - self._next
+
+    def _find_refresh(self) -> None:
+        draws = self._draws
+        p = self.probability
+        index = self._next
+        while index < len(draws) and draws[index] >= p:
+            index += 1
+        self._refresh_at = index
 
     def on_activation(self, time: float, row: int) -> float:
-        if self.rng.random() < self.probability:
-            return self._refresh_neighbours(time, row)
-        return time
+        quiet = self._quiet_draws()
+        self._next += 1
+        if quiet:
+            return time
+        self._find_refresh()
+        return self._refresh_neighbours(time, row)
+
+    def row_headroom(self, row: int) -> int:
+        return self._quiet_draws()
+
+    def batch_slack(self) -> int:
+        return self._quiet_draws()
+
+    def observe_batch(self, rows) -> None:
+        """Consume one draw per activation; each must be ``>= p``."""
+        count = len(rows)
+        if count > self._quiet_draws():
+            raise ValueError("observe_batch overran PARA's quiet draws")
+        self._next += count
 
 
 class TargetedRowRefresh(VictimRefreshMitigation):
@@ -124,6 +173,10 @@ class TargetedRowRefresh(VictimRefreshMitigation):
     The tracker threshold should be well below ``TRH`` (half is
     customary) so victims are refreshed before the aggressor can deliver
     threshold-many disturbances between refreshes.
+
+    Batching contract: as with the swap designs, tracker triggers are
+    the only source of refreshes, so :meth:`row_headroom` and
+    :meth:`batch_slack` delegate to the tracker.
     """
 
     def __init__(
@@ -141,3 +194,9 @@ class TargetedRowRefresh(VictimRefreshMitigation):
         if observation.triggered:
             return self._refresh_neighbours(time, row)
         return time
+
+    def row_headroom(self, row: int) -> int:
+        return self.tracker.row_headroom(row)
+
+    def batch_slack(self) -> int:
+        return self.tracker.batch_slack()

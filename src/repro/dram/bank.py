@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.dram.commands import PagePolicy
 from repro.dram.config import DRAMTiming
+
+_INF = float("inf")
 
 
 @dataclass
@@ -103,6 +105,22 @@ class ActivationStats:
         self._roll_to(window)
         self._counts[row] += 1
         self.lifetime_activations += 1
+        return self._counts[row]
+
+    def record_run(self, row: int, time: float, count: int) -> int:
+        """Record ``count`` ACTs on ``row``, all in the window of ``time``.
+
+        Equal to ``count`` :meth:`record` calls at instants of that one
+        window; returns the new count.
+        """
+        window = int(time // self.refresh_window)
+        if window < self._window_index:
+            raise ValueError(
+                f"activation at t={time} precedes current window {self._window_index}"
+            )
+        self._roll_to(window)
+        self._counts[row] += count
+        self.lifetime_activations += count
         return self._counts[row]
 
     def count(self, row: int) -> int:
@@ -214,10 +232,14 @@ class Bank:
     def access(self, time: float, row: int, is_write: bool = False) -> AccessResult:
         """Service one column access to ``row`` arriving at ``time``.
 
-        The batched engine (``repro.sim.engine.batched``) replicates this
-        state machine expression-for-expression on its fused fast path;
-        timing changes here must be mirrored there (the engine
-        equivalence tests catch any divergence bit-exactly).
+        Two fused paths replicate this state machine
+        expression-for-expression: the batched engine
+        (``repro.sim.engine.batched``) and :meth:`access_run`, the
+        hammer harness's run step (``repro.attacks.harness``). Timing
+        changes here must be mirrored in both; the engine equivalence
+        tests and the harness differential tests
+        (``tests/test_harness_fused.py``) catch any divergence
+        bit-exactly.
         """
         self._check_row(row)
         t = self.timing
@@ -246,6 +268,81 @@ class Bank:
         else:
             self.busy_until = finish
         return AccessResult(start=start, finish=finish, row_hit=False, activated=True)
+
+    def access_run(
+        self,
+        time: float,
+        row: int,
+        count: int,
+        deadline: float = _INF,
+        quiet: float = _INF,
+        period: float = _INF,
+    ) -> Tuple[List[float], float]:
+        """Service up to ``count`` back-to-back accesses to ``row``.
+
+        A closed-page replay of :meth:`access` for a run of one row:
+        the first access arrives at ``time`` and each later one when
+        the previous one's data is available. Each access gets the same
+        float expressions as :meth:`access`, and the run's ACTs are
+        recorded in one :meth:`ActivationStats.record_run`.
+
+        The run stops before an access that would arrive at or after
+        ``deadline``, one whose data would be ready at or after
+        ``quiet``, and one whose ACT falls in a later refresh window
+        than the run's first ACT, or in a later ``period`` (a second
+        window length, such as a disturbance model's).
+
+        Returns the ACT start times and the finish of the last access
+        (``time`` when none was served). The bank must be closed-page
+        with no open row.
+        """
+        self._check_row(row)
+        if self.policy is not PagePolicy.CLOSED or self.open_row is not None:
+            raise ValueError("access_run needs a closed-page bank with no open row")
+        t = self.timing
+        t_rc, t_rcd, t_cas, t_bl = t.t_rc, t.t_rcd, t.t_cas, t.t_bl
+        busy = self.busy_until
+        last = self.last_act_time
+        starts: List[float] = []
+        append = starts.append
+        for _ in range(count):
+            if time >= deadline:
+                break
+            # max(time, busy, last + t_rc) and max(finish, start + t_rc),
+            # spelled out: the same values, without the call overhead.
+            start = last + t_rc
+            if busy > start:
+                start = busy
+            if time > start:
+                start = time
+            finish = start + t_rcd + t_cas + t_bl
+            if finish >= quiet:
+                break
+            append(start)
+            last = start
+            busy = start + t_rc
+            if finish > busy:
+                busy = finish
+            time = finish
+        if not starts:
+            return starts, time
+        first = starts[0]
+        served = len(starts)
+        for length in (self.stats.refresh_window, period):
+            # Starts never decrease, so a window change cuts a suffix.
+            window = first // length
+            while starts[served - 1] // length != window:
+                served -= 1
+        if served < len(starts):
+            del starts[served:]
+            last = starts[-1]
+            time = last + t_rcd + t_cas + t_bl
+            busy = max(time, last + t_rc)
+        self.total_accesses += served
+        self.last_act_time = last
+        self.busy_until = busy
+        self.stats.record_run(row, first, served)
+        return starts, time
 
     def occupy(self, time: float, duration: float) -> float:
         """Block the bank for ``duration`` ns (refresh, swap data movement).

@@ -21,14 +21,17 @@ work: swaps keep every count far below the flip point).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from itertools import accumulate, repeat
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass
 class FlipEvent:
-    """A bit flip: which row, when, and at what disturbance level."""
+    """A bit flip: the ACT that carried ``row`` from below ``TRH`` to at
+    or above it — which row, when, and at what disturbance level."""
 
     row: int
     time: float
@@ -90,9 +93,10 @@ class DisturbanceModel:
     def _disturb(self, victim: int, amount: float, time: float) -> None:
         if not 0 <= victim < self.num_rows:
             return
-        level = self._disturbance[victim] + amount
+        old = self._disturbance[victim]
+        level = old + amount
         self._disturbance[victim] = level
-        if level >= self.trh:
+        if old < self.trh <= level:
             self.flips.append(
                 FlipEvent(
                     row=victim,
@@ -110,6 +114,53 @@ class DisturbanceModel:
             distance = index + 1
             self._disturb(row - distance, factor, time)
             self._disturb(row + distance, factor, time)
+
+    def on_activation_run(self, row: int, starts: Sequence[float]) -> None:
+        """One ACT on ``row`` at each instant of ``starts``, in order.
+
+        Bit-identical to calling :meth:`on_activation` once per instant:
+        each victim's level takes the same float additions in the same
+        order, and threshold crossings are recorded in scalar order
+        (by ACT, then by victim in :meth:`on_activation`'s order). The
+        instants must be nondecreasing and share one refresh window,
+        so the window rolls at most once, at the first.
+        """
+        if not starts:
+            return
+        self._roll(starts[0])
+        window = self._window_index
+        if int(starts[-1] // self.refresh_window) != window:
+            raise ValueError("activation run crosses a refresh-window boundary")
+        count = len(starts)
+        self.total_activations += count
+        levels_by_row = self._disturbance
+        trh = self.trh
+        crossings = []
+        order = 0
+        for index, factor in enumerate(self.distance_factors):
+            distance = index + 1
+            for victim in (row - distance, row + distance):
+                order += 1
+                if not 0 <= victim < self.num_rows:
+                    continue
+                old = levels_by_row[victim]
+                # levels[k]: the victim's level after k of the run's ACTs.
+                levels = list(accumulate(repeat(factor, count), initial=old))
+                levels_by_row[victim] = levels[-1]
+                if old < trh <= levels[-1]:
+                    # Positive steps only, so the levels are sorted and
+                    # the first one at or above TRH is the crossing.
+                    act = bisect_left(levels, trh) - 1
+                    crossings.append((act, order, victim, levels[act + 1]))
+        for act, _, victim, level in sorted(crossings):
+            self.flips.append(
+                FlipEvent(
+                    row=victim,
+                    time=starts[act],
+                    disturbance=level,
+                    window_index=window,
+                )
+            )
 
     def on_refresh(self, row: int, time: float) -> None:
         """A targeted refresh restores ``row`` — but, being an activation,

@@ -193,7 +193,8 @@ class ExactTracker(Tracker):
 
         Within a declared horizon no observation can trigger, so the
         final state is order-independent: the batch collapses to one
-        count update per *distinct* row (``np.unique`` for long spans, a
+        count update per *distinct* row (one pair for a run of one row,
+        as the hammer harness commits, ``np.unique`` for long spans, a
         ``Counter`` for short ones). If any row could cross the
         threshold (a caller overran the horizon), the whole batch is
         replayed sequentially through :meth:`observe` so the trigger
@@ -205,7 +206,9 @@ class ExactTracker(Tracker):
             return
         counts = self._counts
         threshold = self.threshold
-        if len(rows) >= 64:
+        if rows.count(rows[0]) == len(rows):
+            pairs = [(rows[0], len(rows))]
+        elif len(rows) >= 64:
             uniques, reps = np.unique(
                 np.asarray(rows, dtype=np.int64), return_counts=True
             )

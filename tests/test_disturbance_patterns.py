@@ -67,6 +67,67 @@ class TestDisturbanceModel:
         assert row in (9, 11)
         assert level == 3.0
 
+    def test_one_flip_event_per_threshold_crossing(self):
+        """ACTs past TRH keep raising the level but record no new flip."""
+        model = DisturbanceModel(1024, trh=5, distance_factors=(1.0,))
+        for step in range(50):
+            model.on_activation(10, float(step))
+        assert [(f.row, f.time, f.disturbance) for f in model.flips] == [
+            (9, 4.0, 5.0),
+            (11, 4.0, 5.0),
+        ]
+        assert model.disturbance(9) == 50.0
+        assert model.flipped_rows() == [9, 11]
+        assert model.any_flip()
+
+    def test_refresh_reset_then_new_crossing_records_again(self):
+        model = DisturbanceModel(1024, trh=5, distance_factors=(1.0,))
+        for step in range(8):
+            model.on_activation(10, float(step))
+        model.on_refresh(11, 8.0)
+        for step in range(9, 20):
+            model.on_activation(10, float(step))
+        crossings = [(f.row, f.time) for f in model.flips if f.row == 11]
+        # Crossed at the 5th ACT; after the refresh, the 5th ACT again.
+        assert crossings == [(11, 4.0), (11, 13.0)]
+        assert [f.time for f in model.flips if f.row == 9] == [4.0]
+
+    def test_window_roll_then_new_crossing_records_again(self):
+        model = DisturbanceModel(
+            1024, trh=3, refresh_window=100.0, distance_factors=(1.0,)
+        )
+        for time in (0.0, 1.0, 2.0, 3.0, 100.0, 101.0, 102.0):
+            model.on_activation(10, time)
+        assert [(f.row, f.window_index) for f in model.flips] == [
+            (9, 0),
+            (11, 0),
+            (9, 1),
+            (11, 1),
+        ]
+
+    @pytest.mark.parametrize("factors", [(1.0, 0.05), (1.0, 0.1, 0.003), (1.0, 0.0)])
+    def test_activation_run_matches_single_activations(self, factors):
+        """Same levels (float bits), flips and flip order as one
+        on_activation per start, with crossings inside the run."""
+        runs = [(10, 7), (12, 40), (10, 90), (11, 3), (2, 30)]
+        single = DisturbanceModel(64, trh=37, distance_factors=factors)
+        bulk = DisturbanceModel(64, trh=37, distance_factors=factors)
+        time = 0.0
+        for row, count in runs:
+            starts = [time + 45.0 * i for i in range(count)]
+            for start in starts:
+                single.on_activation(row, start)
+            bulk.on_activation_run(row, starts)
+            time = starts[-1] + 45.0
+        assert list(bulk._disturbance.items()) == list(single._disturbance.items())
+        assert bulk.flips == single.flips
+        assert bulk.total_activations == single.total_activations
+
+    def test_activation_run_rejects_window_crossing(self):
+        model = DisturbanceModel(64, trh=10, refresh_window=100.0)
+        with pytest.raises(ValueError):
+            model.on_activation_run(10, [50.0, 150.0])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DisturbanceModel(0, trh=10)

@@ -168,3 +168,69 @@ class TestBankOccupyAndActivate:
     def test_precharge_idempotent_when_closed(self, small_bank):
         t = small_bank.precharge(100.0)
         assert t == 100.0
+
+
+class TestBankAccessRun:
+    """The harness's same-row replay against one access per step."""
+
+    @staticmethod
+    def fresh():
+        bank = Bank(64, DRAMTiming(refresh_window=1_000.0), keep_history=True)
+        bank.occupy(0.0, 130.0)
+        return bank
+
+    @staticmethod
+    def bank_state(bank):
+        stats = bank.stats
+        return (
+            bank.busy_until, bank.last_act_time, bank.open_row,
+            bank.total_accesses, bank.row_hits, stats.window_index,
+            stats.current_counts(), stats.lifetime_activations,
+            [vars(record) for record in stats.history],
+        )
+
+    @pytest.mark.parametrize(
+        "deadline, quiet, period",
+        [
+            (float("inf"), float("inf"), float("inf")),
+            (500.0, float("inf"), float("inf")),
+            (float("inf"), 700.0, float("inf")),
+            (float("inf"), float("inf"), 370.0),
+        ],
+    )
+    def test_matches_per_access(self, deadline, quiet, period):
+        # Single accesses, each arriving at the previous one's finish.
+        probe = self.fresh()
+        time, trace = 3.0, []
+        for _ in range(60):
+            result = probe.access(time, 9)
+            trace.append((time, result.start, result.finish))
+            time = result.finish
+        # The replay's stop rules, applied to that trace.
+        first_start = trace[0][1]
+        served = 0
+        for arrival, start, finish in trace:
+            if arrival >= deadline or finish >= quiet:
+                break
+            if any(start // w != first_start // w for w in (1_000.0, period)):
+                break
+            served += 1
+        assert 0 < served < 60
+        single = self.fresh()
+        time = 3.0
+        for _ in range(served):
+            time = single.access(time, 9).finish
+
+        fused = self.fresh()
+        starts, end = fused.access_run(3.0, 9, 60, deadline, quiet, period)
+        assert starts == [start for _, start, _ in trace[:served]]
+        assert end == time
+        assert self.bank_state(fused) == self.bank_state(single)
+
+    def test_requires_closed_page_without_open_row(self, fast_timing):
+        with pytest.raises(ValueError):
+            Bank(64, fast_timing, PagePolicy.OPEN).access_run(0.0, 1, 4)
+        bank = Bank(64, fast_timing)
+        bank.activate(0.0, 3)
+        with pytest.raises(ValueError):
+            bank.access_run(0.0, 1, 4)

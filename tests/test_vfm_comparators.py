@@ -5,8 +5,6 @@ import random
 
 import pytest
 
-pytestmark = pytest.mark.slow  # disturbance-model simulations, seconds per test
-
 from repro.attacks.harness import hammer_pattern
 from repro.attacks.patterns import double_sided, half_double
 from repro.core.aqua import AquaQuarantine, QuarantineFullError
@@ -17,6 +15,7 @@ from repro.core.blockhammer import (
     DualBloomFilter,
     dos_false_positive_delay,
 )
+from repro.core.cat import _splitmix64
 from repro.core.scale_srs import ScaleSecureRowSwap
 from repro.core.vfm import PARA, TargetedRowRefresh
 from repro.dram.bank import Bank
@@ -161,6 +160,17 @@ class TestBlockHammer:
         for _ in range(10):
             bloom.insert(42)
         assert bloom.estimate(42) >= 10
+
+    def test_memoised_slots_match_fresh_slots(self):
+        """Slots are a pure function of row and seeds: the memo returns
+        exactly what a fresh computation gives, on first and later use."""
+        rng = random.Random(17)
+        bloom = CountingBloomFilter(BloomParameters(num_counters=37, num_hashes=3))
+        rows = [rng.randrange(1 << 17) for _ in range(300)]
+        for row in rows + rows:
+            fresh = tuple(_splitmix64(row ^ seed) % 37 for seed in bloom._seeds)
+            assert bloom._slots(row) == fresh
+        assert len(bloom._slot_memo) == len(set(rows))
 
     def test_dual_filter_rotation_keeps_history(self):
         dual = DualBloomFilter(BloomParameters(num_counters=256, num_hashes=3))
