@@ -13,9 +13,8 @@ The modern entry point is the declarative Experiment API::
 
 Workloads may be synthetic names (``"gcc"``) or recorded traces
 (``"trace:/path/to/run"``); :func:`record_workload` dumps any workload's
-per-core streams to replayable USIMM files. The legacy helpers
-(:func:`run_workload`, :func:`compare_mitigations`, :func:`sweep_trh`)
-remain as deprecated shims over the same engine.
+per-core streams to replayable USIMM files. A single point runs
+directly through :class:`PerformanceSimulation`.
 
 Experiments are not limited to performance: ``ExperimentSpec(kind=...)``
 runs the security and analytical evaluation legs through the same
@@ -77,13 +76,6 @@ from repro.sim.factory import (
 )
 from repro.sim.recorder import record_workload, write_columnar_trace
 from repro.sim.results import SimulationResult, normalized_performance
-from repro.sim.runner import (
-    compare_mitigations,
-    normalized_table,
-    run_workload,
-    suite_geomeans,
-    sweep_trh,
-)
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
 
 __all__ = [
@@ -130,9 +122,4 @@ __all__ = [
     "normalized_performance",
     "PerformanceSimulation",
     "SimulationParams",
-    "run_workload",
-    "compare_mitigations",
-    "normalized_table",
-    "sweep_trh",
-    "suite_geomeans",
 ]

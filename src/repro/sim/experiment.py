@@ -41,8 +41,8 @@ and the engine takes care of the rest:
   length, time scale, seed, policy, bank geometry — not the simulation
   engine, which is bit-identical by contract), so the engine runs
   exactly one baseline per unique combination instead of one per grid
-  cell — a pure waste multiplier in the old
-  ``compare_mitigations``-per-cell pattern.
+  cell — a pure waste multiplier when every mitigation re-simulates
+  its own baseline.
 - **Pluggable execution** delegates the pending cells to an execution
   backend (:mod:`repro.sim.pool`): serial in-process, a local process
   pool, or an ``ssh`` fan-out across machines — every cell carries its
@@ -412,11 +412,13 @@ class RunStats:
             for single-machine runs.
         workloads: Workload-plane accounting
             (:class:`~repro.workloads.plane.PlaneStats`: generated /
-            attached / cache hits) when a single-machine backend ran
-            with the plane enabled; ``None`` otherwise.
-        chunks: Dispatch chunks the backend submitted (see
-            :func:`~repro.sim.pool.chunk_plan`) when a chunking backend
-            ran the grid; ``None`` for serial and multi-host runs.
+            trace hits / decode hits) when a single-machine backend ran
+            the grid — summed from per-chunk worker deltas under
+            :class:`~repro.sim.pool.ProcessPool`; ``None`` for
+            multi-host runs and runs with nothing pending.
+        chunks: Dispatch chunks :class:`~repro.sim.pool.ProcessPool`
+            submitted (see :func:`~repro.sim.pool.chunk_plan`);
+            ``None`` for serial and multi-host runs.
     """
 
     planned: int

@@ -56,26 +56,6 @@ from repro.sim.store import (
 from repro.workloads import plane
 
 
-def _run_cell_with_plane(
-    run_cell: Callable[[Any], Any], cell: Any, ref: Any
-) -> Any:
-    """Worker-side cell runner: register a published workload, then run.
-
-    The coordinator submits this wrapper (instead of ``run_cell``
-    directly) for cells whose workload it published to shared memory;
-    :func:`repro.workloads.plane.offer` makes the segment visible to the
-    worker's plane, so its ``traces_for`` attaches instead of
-    regenerating. Runs in the pool worker process.
-    """
-    if ref is not None:
-        plane.offer(ref)
-    return run_cell(cell)
-
-
-#: Environment switch for chunked dispatch (``off``/``0``/``false``/``no``
-#: disables it; anything else, including unset, leaves it on).
-ENV_CHUNKING = "REPRO_GRID_CHUNKING"
-
 #: Per-chunk cost budget, in :func:`cell_cost` units (one unit is
 #: roughly one simulated memory request, i.e. microseconds of work).
 #: A real ``perf`` cell costs thousands of units and therefore fills a
@@ -83,16 +63,6 @@ ENV_CHUNKING = "REPRO_GRID_CHUNKING"
 #: hundreds, which is what amortizes the per-dispatch pickle + IPC +
 #: store round-trip on high-cardinality grids.
 CHUNK_BUDGET = 4000.0
-
-
-def chunking_enabled() -> bool:
-    """Whether chunked dispatch is on (default yes; env escape hatch)."""
-    return os.environ.get(ENV_CHUNKING, "").lower() not in (
-        "off",
-        "0",
-        "false",
-        "no",
-    )
 
 
 def cell_cost(cell: Any) -> float:
@@ -121,9 +91,10 @@ def chunk_plan(
     """Partition affinity-ordered cells into dispatch chunks.
 
     Greedy sweep over :func:`repro.workloads.plane.affinity_order`
-    output: a chunk closes when the workload key changes (each chunk
-    shares one plane attach — the workload grouping *is* the partition
-    key) or when its accumulated :func:`cell_cost` reaches the budget.
+    output: a chunk closes when the workload key changes (a chunk's
+    cells share one workload, so they share the worker's plane caches —
+    the workload grouping *is* the partition key) or when its
+    accumulated :func:`cell_cost` reaches the budget.
     The budget is ``min(budget_cap, total_cost / max_workers)`` — never
     wider than an even split across the workers, so a small grid still
     fans out instead of collapsing into one chunk.
@@ -164,27 +135,29 @@ class ChunkOutcome:
     ``failed_position``/``error`` identify the first cell that raised
     (``error`` may be a :class:`BaseException` such as
     :class:`KeyboardInterrupt`; the coordinator re-routes those through
-    the interrupt drain path).
+    the interrupt drain path). ``plane_delta`` is the worker's
+    workload-plane delta over the chunk, which the coordinator sums into
+    :attr:`Pool.plane_stats`.
     """
 
     completed: List[Tuple[int, Any]] = field(default_factory=list)
     failed_position: Optional[int] = None
     error: Optional[BaseException] = None
+    plane_delta: plane.PlaneStats = field(default_factory=plane.PlaneStats)
 
 
 def _run_chunk(
     run_cell: Callable[[Any], Any],
     cells: Sequence[Tuple[int, Any]],
-    ref: Any,
 ) -> ChunkOutcome:
-    """Worker-side chunk runner: one plane attach, then run the cells.
+    """Worker-side chunk runner: run the cells, count the plane's work.
 
     Catches ``BaseException`` per cell — a ``KeyboardInterrupt``
-    delivered mid-chunk must still return the completed prefix to the
-    coordinator instead of discarding it with the future.
+    delivered mid-chunk must still return the completed prefix (and
+    its plane delta) to the coordinator instead of discarding it with
+    the future.
     """
-    if ref is not None:
-        plane.offer(ref)
+    before = plane.local_stats()
     outcome = ChunkOutcome()
     for position, cell in cells:
         try:
@@ -194,6 +167,7 @@ def _run_chunk(
             outcome.error = error
             break
         outcome.completed.append((position, result))
+    outcome.plane_delta = plane.local_stats() - before
     return outcome
 
 
@@ -315,9 +289,9 @@ class Pool:
     host_stats: Optional[Tuple[HostStats, ...]] = None
 
     #: Workload-plane accounting of the run, populated by the
-    #: single-machine backends after :meth:`run` (``None`` with the
-    #: plane disabled, and for multi-host backends — each remote run
-    #: reports its own plane line); rolled into
+    #: single-machine backends after :meth:`run` (``None`` for
+    #: multi-host backends — each remote run reports its own plane
+    #: line); rolled into
     #: :class:`~repro.sim.experiment.RunStats`.
     plane_stats: Optional[plane.PlaneStats] = None
 
@@ -345,7 +319,6 @@ class SerialPool(Pool):
         delta lands in :attr:`Pool.plane_stats` (even on failure — the
         completed prefix did the caching).
         """
-        enabled = plane.plane_enabled()
         before = plane.local_stats()
         try:
             for position, cell in task.pending:
@@ -355,8 +328,7 @@ class SerialPool(Pool):
                     raise wrap_cell_error(cell, error) from error
                 task.record(position, result)
         finally:
-            if enabled:
-                self.plane_stats = plane.local_stats() - before
+            self.plane_stats = plane.local_stats() - before
 
 
 class ProcessPool(Pool):
@@ -379,17 +351,9 @@ class ProcessPool(Pool):
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunking: Optional[bool] = None,
-    ):
-        """``max_workers`` defaults to :func:`available_cpu_count`;
-        ``chunking`` defaults to the :func:`chunking_enabled` switch
-        (pass ``False`` to force one cell per dispatch — the bench
-        harness compares the two)."""
+    def __init__(self, max_workers: Optional[int] = None):
+        """``max_workers`` defaults to :func:`available_cpu_count`."""
         self.max_workers = max_workers or available_cpu_count()
-        self.chunking = chunking_enabled() if chunking is None else bool(chunking)
         #: Dispatched chunk count of the last :meth:`run` (rolled into
         #: :class:`~repro.sim.experiment.RunStats`).
         self.chunk_count: Optional[int] = None
@@ -400,108 +364,78 @@ class ProcessPool(Pool):
         Cells are partitioned by :func:`chunk_plan` over their
         cache-affinity order — a chunk holds cells of one workload key
         up to a cost budget, so cheap analytical cells share one
-        dispatch (and one plane attach) while a heavy ``perf`` cell
-        fills a chunk alone. Each completed chunk's batch is recorded
-        in one call (one store transaction per chunk); recording stays
-        plan-positional, so progress and the store are unaffected by
-        the partition.
+        dispatch while a heavy ``perf`` cell fills a chunk alone. Each
+        completed chunk's batch is recorded in one call (one store
+        transaction per chunk); recording stays plan-positional, so
+        progress and the store are unaffected by the partition.
 
-        With the workload plane enabled the coordinator additionally
-        (1) publishes each distinct multi-cell workload to shared
-        memory so workers attach instead of regenerating, and
-        (2) collects worker-side plane counters into
-        :attr:`Pool.plane_stats`. Shared-memory segments are unlinked
-        on *every* exit path — success, cell failure, and the interrupt
-        drain — in the ``finally`` below.
+        Every chunk that reaches the coordinator — on success, cell
+        failure, or the interrupt drain — adds its worker-side plane
+        delta to :attr:`Pool.plane_stats`.
         """
-        enabled = plane.plane_enabled()
-        publisher = None
-        counters = None
-        before = plane.local_stats()
-        keyed = plane.keyed_pending(task.pending)
-        ordered = plane.affinity_order(keyed)
-        if enabled:
-            publisher = plane.PlanePublisher()
-            publisher.publish(keyed)
-            counters = plane.make_shared_counters()
-            executor = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=plane.init_worker,
-                initargs=(counters,),
-            )
-        else:
-            executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        if self.chunking:
-            groups = chunk_plan(ordered, self.max_workers)
-        else:
-            groups = [[item] for item in ordered]
+        ordered = plane.affinity_order(task.pending)
+        groups = chunk_plan(ordered, self.max_workers)
         self.chunk_count = len(groups)
-        refs = publisher.refs if publisher is not None else {}
+        self.plane_stats = plane.PlaneStats()
+        executor = ProcessPoolExecutor(max_workers=self.max_workers)
+        # Futures not yet filed; a chunk leaves once filed, so the
+        # interrupt drain never files (or counts) one twice.
         futures: Dict[Any, List[Tuple[int, Any]]] = {}
         failed: Optional[Tuple[Any, Exception]] = None
         try:
-            try:
-                for group in groups:
-                    cells = [(position, cell) for position, cell, _ in group]
-                    ref = refs.get(group[0][2]) if refs else None
-                    future = executor.submit(
-                        _run_chunk, task.run_cell, cells, ref
-                    )
-                    futures[future] = cells
-                for future in as_completed(futures):
-                    cells = futures[future]
-                    try:
-                        outcome = future.result()
-                    except Exception as error:
-                        # The dispatch itself failed (broken pool,
-                        # unpicklable payload): blame the chunk's first
-                        # cell but keep draining — completed chunks
-                        # still reach the store, so a --resume after
-                        # the failure recomputes only what never ran.
+            for group in groups:
+                cells = [(position, cell) for position, cell, _ in group]
+                futures[executor.submit(_run_chunk, task.run_cell, cells)] = cells
+            for future in as_completed(list(futures)):
+                cells = futures[future]
+                try:
+                    outcome = future.result()
+                except Exception as error:
+                    # The dispatch itself failed (broken pool,
+                    # unpicklable payload): blame the chunk's first
+                    # cell but keep draining — completed chunks still
+                    # reach the store, so a --resume after the failure
+                    # recomputes only what never ran.
+                    if failed is None:
+                        failed = (cells[0][1], error)
+                    continue
+                self._file(outcome, task)
+                del futures[future]
+                if outcome.error is not None:
+                    if isinstance(outcome.error, Exception):
                         if failed is None:
-                            failed = (cells[0][1], error)
-                        continue
-                    task.record_all(outcome.completed)
-                    if outcome.error is not None:
-                        if isinstance(outcome.error, Exception):
-                            if failed is None:
-                                cell = dict(cells)[outcome.failed_position]
-                                failed = (cell, outcome.error)
-                        else:
-                            # KeyboardInterrupt (or another
-                            # BaseException) inside a worker cell: the
-                            # chunk's completed prefix is already
-                            # recorded; route the rest through the
-                            # interrupt drain below.
-                            raise outcome.error
-            except BaseException:
-                # Interrupted (KeyboardInterrupt, or a worker re-raising
-                # it): stop launching queued chunks, keep what finished.
-                executor.shutdown(wait=False, cancel_futures=True)
-                self._drain_completed(futures, task)
-                raise
-            executor.shutdown()
-        finally:
-            if publisher is not None:
-                publisher.close()
-            if enabled and counters is not None:
-                self.plane_stats = (
-                    plane.local_stats() - before
-                ) + plane.snapshot_shared(counters)
+                            cell = dict(cells)[outcome.failed_position]
+                            failed = (cell, outcome.error)
+                    else:
+                        # KeyboardInterrupt (or another BaseException)
+                        # inside a worker cell: the chunk's completed
+                        # prefix is already recorded; route the rest
+                        # through the interrupt drain below.
+                        raise outcome.error
+        except BaseException:
+            # Interrupted (KeyboardInterrupt, or a worker re-raising
+            # it): stop launching queued chunks, keep what finished.
+            executor.shutdown(wait=False, cancel_futures=True)
+            self._drain_completed(futures, task)
+            raise
+        executor.shutdown()
         if failed is not None:
             cell, error = failed
             raise wrap_cell_error(cell, error) from error
 
-    @staticmethod
+    def _file(self, outcome: ChunkOutcome, task: PoolTask) -> None:
+        """Record a chunk's completed cells and count its plane delta."""
+        task.record_all(outcome.completed)
+        self.plane_stats += outcome.plane_delta
+
     def _drain_completed(
-        futures: Dict[Any, List[Tuple[int, Any]]], task: PoolTask
+        self, futures: Dict[Any, List[Tuple[int, Any]]], task: PoolTask
     ) -> None:
-        """File every already-completed chunk's batch (interrupt path).
+        """File every already-completed, not-yet-filed chunk (interrupt path).
 
         Cancelled and still-running futures are skipped — only results
         that exist are recorded, including the completed prefix of a
-        chunk whose later cell raised; re-recording an already-filed
-        position is harmless (the store write is idempotent)."""
+        chunk whose later cell raised."""
         for future in futures:
             if not future.done() or future.cancelled():
                 continue
@@ -509,7 +443,7 @@ class ProcessPool(Pool):
                 outcome = future.result()
             except BaseException:
                 continue
-            task.record_all(outcome.completed)
+            self._file(outcome, task)
 
 
 def parse_hosts(text: str) -> List[str]:

@@ -14,15 +14,8 @@ from repro.sim.experiment import (
     resolve_workload,
     run_grid,
 )
-from repro.sim.runner import compare_mitigations, normalized_table, sweep_trh
 from repro.sim.results import geometric_mean, normalized_performance
-from repro.sim.simulator import SimulationParams
-
-# This module compares the deprecated runner shims against the engine
-# path bit-for-bit; silence their DeprecationWarning.
-pytestmark = pytest.mark.filterwarnings(
-    r"ignore:repro\.sim\.runner:DeprecationWarning"
-)
+from repro.sim.simulator import PerformanceSimulation, SimulationParams
 
 FAST = SimulationParams(
     trh=1200, num_cores=2, requests_per_core=3000, time_scale=32, seed=11
@@ -105,8 +98,7 @@ class TestSpecExpansion:
         assert resolve_workload(spec) is spec
 
     def test_adhoc_workload_spec_rides_through_engine(self):
-        """WorkloadSpec objects outside the named suite still run (the
-        legacy runner contract)."""
+        """WorkloadSpec objects outside the named suite still run."""
         adhoc = dataclasses.replace(resolve_workload("povray"), name="my-adhoc")
         results = run_grid(
             ExperimentSpec(
@@ -118,12 +110,16 @@ class TestSpecExpansion:
         )
         assert set(results.normalized_table()) == {"my-adhoc"}
 
-    def test_adhoc_workload_spec_through_legacy_shims(self):
+    def test_adhoc_workload_spec_through_table_and_sweep(self):
         adhoc = dataclasses.replace(resolve_workload("povray"), name="my-adhoc")
         fast = dataclasses.replace(FAST, requests_per_core=1500)
-        table = normalized_table([adhoc], ["rrs"], fast)
+        spec = ExperimentSpec(
+            workloads=[adhoc], mitigations=["rrs"], base_params=fast
+        )
+        table = run_grid(spec, max_workers=1).normalized_table()
         assert set(table) == {"my-adhoc"}
-        sweep = sweep_trh(adhoc, "rrs", [FAST.trh], fast)
+        swept = dataclasses.replace(spec, grid={"trh": [FAST.trh]})
+        sweep = run_grid(swept, max_workers=1).sweep("my-adhoc", "rrs")
         assert set(sweep) == {FAST.trh}
 
     def test_baseline_only_experiment_still_runs(self):
@@ -205,21 +201,30 @@ class TestBaselineDedup:
 
 
 class TestEngineParity:
-    def test_grid_matches_legacy_compare(self):
-        """Acceptance: the engine reproduces the legacy normalized numbers."""
+    def test_grid_matches_direct_simulation(self):
+        """Acceptance: the grid reproduces the normalized numbers of
+        simulating each mitigation and the baseline directly."""
         results = run_grid(
             ExperimentSpec(
                 workloads=["gcc"], mitigations=["rrs"], base_params=FAST
             ),
             max_workers=1,
         )
-        legacy = compare_mitigations("gcc", ["rrs"], FAST)
-        expected = normalized_performance(legacy["baseline"], legacy["rrs"])
+        gcc = resolve_workload("gcc")
+        direct = {
+            name: PerformanceSimulation(gcc, name, FAST).run()
+            for name in ("baseline", "rrs")
+        }
+        expected = normalized_performance(direct["baseline"], direct["rrs"])
         assert results.normalized_table()["gcc"]["rrs"] == expected
 
-    def test_legacy_shims_agree_with_each_other(self):
-        table = normalized_table(["povray"], ["rrs"], FAST)
-        sweep = sweep_trh("povray", "rrs", [FAST.trh], FAST)
+    def test_table_and_sweep_agree(self):
+        spec = ExperimentSpec(
+            workloads=["povray"], mitigations=["rrs"], base_params=FAST
+        )
+        table = run_grid(spec, max_workers=1).normalized_table()
+        swept = dataclasses.replace(spec, grid={"trh": [FAST.trh]})
+        sweep = run_grid(swept, max_workers=1).sweep("povray", "rrs")
         assert table["povray"]["rrs"] == sweep[FAST.trh]
 
     def test_parallel_equals_serial(self):

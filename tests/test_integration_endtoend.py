@@ -8,14 +8,10 @@ assembled (tracker + RIT + engine + bank + memory system).
 
 import pytest
 
-pytestmark = [
-    pytest.mark.slow,  # full-stack simulations, seconds per test
-    # Legacy-path coverage rides on the deprecated shims on purpose.
-    pytest.mark.filterwarnings(r"ignore:repro\.sim\.runner:DeprecationWarning"),
-]
+pytestmark = pytest.mark.slow  # full-stack simulations, seconds per test
 
+from repro.sim.experiment import ExperimentSpec, run_grid
 from repro.sim.results import normalized_performance
-from repro.sim.runner import compare_mitigations, run_workload
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
 from repro.workloads.suites import ALL_WORKLOADS
 
@@ -28,12 +24,25 @@ def spec(name):
     return next(w for w in ALL_WORKLOADS if w.name == name)
 
 
+def simulate(name, mitigation, params):
+    """One workload under one mitigation, straight through the simulator."""
+    return PerformanceSimulation(spec(name), mitigation, params).run()
+
+
+def compare(name, mitigations, params):
+    """A one-workload grid (baseline included), keyed by mitigation."""
+    grid = ExperimentSpec(
+        workloads=[name], mitigations=list(mitigations), base_params=params
+    )
+    return run_grid(grid, max_workers=1).by("mitigation")
+
+
 class TestPerformanceOrdering:
     """The paper's Figure 14 ordering at TRH=1200."""
 
     @pytest.fixture(scope="class")
     def gcc_results(self):
-        return compare_mitigations("gcc", ["rrs", "srs", "scale-srs"], PARAMS)
+        return compare("gcc", ["rrs", "srs", "scale-srs"], PARAMS)
 
     def test_scale_srs_beats_rrs(self, gcc_results):
         base = gcc_results["baseline"]
@@ -69,7 +78,7 @@ class TestNoUnswapAblation:
         params = SimulationParams(
             trh=1200, num_cores=2, requests_per_core=40_000, time_scale=32, seed=3
         )
-        results = compare_mitigations("hmmer", ["rrs", "rrs-no-unswap"], params)
+        results = compare("hmmer", ["rrs", "rrs-no-unswap"], params)
         base = results["baseline"]
         with_unswap = normalized_performance(base, results["rrs"])
         without = normalized_performance(base, results["rrs-no-unswap"])
@@ -92,19 +101,19 @@ class TestDefenseSecurityEndToEnd:
     """
 
     def test_baseline_has_hot_locations(self):
-        result = run_workload("gcc", "baseline", PARAMS)
+        result = simulate("gcc", "baseline", PARAMS)
         assert result.max_row_activations > PARAMS.scaled_trh
 
     @pytest.mark.parametrize("mitigation", ["srs", "scale-srs"])
     def test_swap_only_designs_cap_demand_activations(self, mitigation):
-        result = run_workload("gcc", mitigation, PARAMS)
-        baseline = run_workload("gcc", "baseline", PARAMS)
+        result = simulate("gcc", mitigation, PARAMS)
+        baseline = simulate("gcc", "baseline", PARAMS)
         # Orders of magnitude below the baseline's hottest location.
         assert result.max_row_activations < baseline.max_row_activations / 5
 
     def test_rrs_home_locations_accumulate_latents(self):
-        rrs = run_workload("gcc", "rrs", PARAMS)
-        srs = run_workload("gcc", "srs", PARAMS)
+        rrs = simulate("gcc", "rrs", PARAMS)
+        srs = simulate("gcc", "srs", PARAMS)
         # RRS's reswap latents pile up at home locations; SRS's do not.
         assert rrs.max_row_activations > srs.max_row_activations
 
@@ -118,8 +127,8 @@ class TestTrackerSensitivity:
             trh=1200, num_cores=2, requests_per_core=12_000,
             time_scale=32, seed=3, tracker="hydra",
         )
-        mg = compare_mitigations("gcc", ["rrs"], PARAMS)
-        hydra = compare_mitigations("gcc", ["rrs"], hydra_params)
+        mg = compare("gcc", ["rrs"], PARAMS)
+        hydra = compare("gcc", ["rrs"], hydra_params)
         mg_norm = normalized_performance(mg["baseline"], mg["rrs"])
         hydra_norm = normalized_performance(hydra["baseline"], hydra["rrs"])
         assert hydra_norm <= mg_norm + 0.02
@@ -130,7 +139,7 @@ class TestWindowAccounting:
         params = SimulationParams(
             trh=1200, num_cores=2, requests_per_core=40_000, time_scale=32, seed=5
         )
-        result = run_workload("hmmer", "scale-srs", params)
+        result = simulate("hmmer", "scale-srs", params)
         assert result.place_backs > 0
 
     def test_activation_stats_cover_run(self):

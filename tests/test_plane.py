@@ -6,18 +6,16 @@ The plane's contract has three legs, each pinned here:
   ingredients, folds ``store_fingerprint()`` in for file-backed
   workloads (re-recording invalidates), and refuses to key ad-hoc
   workload objects (they can never alias a cached entry);
-- **bit-identity** — a grid run produces byte-identical results with
-  the plane on or off, on both engines, serial and pooled;
-- **lifecycle** — shared-memory round-trips are exact, published
-  segments are read-only to workers, and the publisher unlinks
-  everything it created.
+- **bit-identity** — a cached materialization equals the uncached
+  per-core ``arrays_for_core`` loop column for column, and a pooled
+  grid equals a serial one, on both engines;
+- **read-only** — every column a cached trace exposes rejects writes,
+  so no cell can change another cell's input.
 """
 
 import dataclasses
-import os
 import time
 
-import numpy as np
 import pytest
 
 from repro.sim.experiment import (
@@ -35,14 +33,6 @@ from repro.workloads.columnar import ColumnarTrace
 PARAMS = SimulationParams(
     trh=1200, num_cores=2, requests_per_core=600, time_scale=32
 )
-
-
-@pytest.fixture(autouse=True)
-def plane_on(monkeypatch):
-    """Force the plane on: these tests assert plane behavior even when
-    the suite runs under CI's ``REPRO_WORKLOAD_PLANE=off`` pass (tests
-    that assert the *off* behavior re-set the variable themselves)."""
-    monkeypatch.setenv(plane.ENV_PLANE, "on")
 
 
 def small_spec(workload="povray", **overrides):
@@ -167,15 +157,58 @@ class TestTracesFor:
         assert all(t is traces[0] for t in traces)
         assert len(loads) == 1
 
-    def test_plane_off_regenerates_every_call(self, monkeypatch):
-        monkeypatch.setenv(plane.ENV_PLANE, "off")
-        spec = resolve_workload("povray")
+
+def uncached(workload, params):
+    """The per-core ``arrays_for_core`` loop the plane must reproduce."""
+    organization = params.make_organization()
+    return [
+        workload.arrays_for_core(core_id, params, organization)
+        for core_id in range(params.num_cores)
+    ]
+
+
+class TestUncachedReference:
+    """A plane result equals the uncached generation, column for column."""
+
+    def test_synthetic_workload_matches_direct_generation(self):
+        spec = resolve_workload("mix1")
+        cached = plane.traces_for(spec, PARAMS, PARAMS.make_organization())
+        reference = uncached(spec, PARAMS)
+        assert len(cached) == len(reference) == PARAMS.num_cores
+        assert all(a.equals(b) for a, b in zip(cached, reference))
+        assert plane.local_stats().generated == 1
+
+    def test_rate_mode_trace_matches_direct_generation(self, tmp_path):
+        workload = resolve_workload(f"trace:{record_rate_trace(tmp_path)}")
+        params = dataclasses.replace(PARAMS, num_cores=3)
+        cached = plane.traces_for(workload, params, params.make_organization())
+        reference = uncached(workload, params)
+        assert len(cached) == len(reference) == 3
+        assert all(a.equals(b) for a, b in zip(cached, reference))
+
+
+class TestReadOnlyGuard:
+    """Cached traces are shared across cells, so writes must fail."""
+
+    @pytest.mark.parametrize("source", ["synthetic", "trace"])
+    def test_every_cached_column_rejects_writes(self, source, tmp_path):
+        if source == "synthetic":
+            workload = resolve_workload("povray")
+        else:
+            workload = resolve_workload(f"trace:{record_rate_trace(tmp_path)}")
         org = PARAMS.make_organization()
-        first = plane.traces_for(spec, PARAMS, org)
-        second = plane.traces_for(spec, PARAMS, org)
-        assert first[0] is not second[0]
-        assert first[0].equals(second[0])
-        assert not plane.local_stats()
+        for _ in range(2):  # the generating call and the cache hit
+            traces = plane.traces_for(workload, PARAMS, org)
+            for trace in traces:
+                for column in dataclasses.fields(trace):
+                    array = getattr(trace, column.name)
+                    assert len(array)
+                    with pytest.raises(ValueError):
+                        array[0] = array[0]
+                    with pytest.raises(ValueError):
+                        trace.take(1).gaps[0] = 0
+        stats = plane.local_stats()
+        assert (stats.generated, stats.trace_hits) == (1, 1)
 
 
 class TestExpectedCost:
@@ -203,87 +236,16 @@ class TestExpectedCost:
         assert plane._expected_cost(aqua) == 3 * plane._expected_cost(rrs)
 
 
-class TestSharedMemory:
-    def test_roundtrip_is_exact_and_readonly(self):
-        spec = resolve_workload("povray")
-        trace = spec.arrays_for_core(0, PARAMS, PARAMS.make_organization())
-        shm, layout = trace.to_shm(name=f"repro-test-{os.getpid():x}")
-        try:
-            rebuilt = ColumnarTrace.from_shm(shm, layout)
-            assert rebuilt.equals(trace)
-            with pytest.raises(ValueError):
-                rebuilt.gaps[0] = 99
-        finally:
-            del rebuilt
-            shm.close()
-            shm.unlink()
-
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
-    )
-    def test_publisher_close_unlinks_segments(self):
-        keyed = plane.keyed_pending(
-            list(enumerate(plan_cells(small_spec())))
-        )
-        publisher = plane.PlanePublisher()
-        publisher.publish(keyed)
-        assert publisher.refs  # the shared workload was published
-        names = [
-            layout.name
-            for ref in publisher.refs.values()
-            for layout in ref.layouts
-        ]
-        assert names
-        for name in names:
-            assert os.path.exists(f"/dev/shm/{name}")
-        publisher.close()
-        for name in names:
-            assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_attach_falls_back_after_unlink(self):
-        """A worker racing the coordinator's unlink regenerates."""
-        keyed = plane.keyed_pending(
-            list(enumerate(plan_cells(small_spec())))
-        )
-        publisher = plane.PlanePublisher()
-        publisher.publish(keyed)
-        (ref,) = publisher.refs.values()
-        publisher.close()
-        plane.reset()
-        plane.offer(ref)
-        spec = resolve_workload("povray")
-        traces = plane.traces_for(spec, PARAMS, PARAMS.make_organization())
-        assert len(traces) == PARAMS.num_cores
-        stats = plane.local_stats()
-        assert stats.attached == 0
-        assert stats.generated == 1
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_serial_grid_identical_plane_on_off(self, engine, monkeypatch):
-        spec = small_spec(engine=engine)
-        monkeypatch.setenv(plane.ENV_PLANE, "off")
-        off = run_grid(spec, pool=SerialPool())
-        plane.reset()
-        monkeypatch.setenv(plane.ENV_PLANE, "on")
-        on = run_grid(spec, pool=SerialPool())
-        assert off.to_json() == on.to_json()
-        assert off.run_stats.workloads is None
-        assert on.run_stats.workloads.generated == 1
-
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_pooled_trace_grid_identical_plane_on_off(
-        self, engine, tmp_path, monkeypatch
-    ):
+    def test_pooled_trace_grid_identical_to_serial(self, engine, tmp_path):
         trace_dir = record_rate_trace(tmp_path, requests=1500)
         spec = small_spec(workload=f"trace:{trace_dir}", engine=engine)
-        monkeypatch.setenv(plane.ENV_PLANE, "off")
-        off = run_grid(spec, pool=SerialPool())
+        serial = run_grid(spec, pool=SerialPool())
+        assert serial.run_stats.workloads.generated == 1
         plane.reset()
-        monkeypatch.setenv(plane.ENV_PLANE, "on")
         pooled = run_grid(spec, pool=ProcessPool(2))
-        assert off.to_json() == pooled.to_json()
+        assert serial.to_json() == pooled.to_json()
 
     def test_decode_cache_hits_under_batched_engine(self):
         """Back-to-back batched cells over one workload share a decode."""
@@ -297,12 +259,11 @@ class TestBitIdentity:
 
 
 class TestFuzzUnderPlane:
-    def test_fuzz_seeds_pass_with_plane_enabled(self, monkeypatch):
+    def test_fuzz_seeds_pass_from_a_cold_plane(self):
         """The differential fuzzer's scenarios stay scalar/batched
-        bit-identical with the plane forced on."""
+        bit-identical starting from a cold plane."""
         from test_engine_fuzz import check_seed
 
-        monkeypatch.setenv(plane.ENV_PLANE, "on")
         for seed in (11, 12, 13):
             plane.reset()
             check_seed(seed)

@@ -476,25 +476,20 @@ class TestSerialPoolContract:
         assert len(calls) == len(results)
 
 
-def run_kb_cell(cell):
-    """A perf-cell runner that simulates Ctrl-C reaching a worker."""
-    raise KeyboardInterrupt
+def run_perf_until_srs(cell):
+    """A perf-cell runner where Ctrl-C reaches the worker at the srs cell."""
+    if cell.mitigation == "srs":
+        raise KeyboardInterrupt
+    from repro.sim.experiment import _run_cell
+
+    return _run_cell(cell)
 
 
-def shm_names():
-    """Current ``repro-`` shared-memory segment names."""
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
+POOLS = {"serial": SerialPool, "process": lambda: ProcessPool(2)}
 
 
 class TestWorkloadPlane:
-    """Plane accounting and shared-memory lifecycle through the pools."""
-
-    @pytest.fixture(autouse=True)
-    def plane_on(self, monkeypatch):
-        """Force the plane on even under CI's plane-off suite pass."""
-        monkeypatch.setenv("REPRO_WORKLOAD_PLANE", "on")
+    """Plane accounting through the pools: per-chunk deltas add up."""
 
     SPEC = ExperimentSpec(
         workloads=["povray"],
@@ -504,69 +499,66 @@ class TestWorkloadPlane:
         ),
     )
 
-    def test_pooled_run_attaches_published_workload(self):
-        """The coordinator generates (publish), workers attach."""
-        before = shm_names()
-        results = run_grid(self.SPEC, pool=ProcessPool(2))
+    @staticmethod
+    def spec_on(engine):
+        return dataclasses.replace(
+            TestWorkloadPlane.SPEC,
+            base_params=dataclasses.replace(
+                TestWorkloadPlane.SPEC.base_params, engine=engine
+            ),
+        )
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_every_executed_cell_is_generated_or_a_trace_hit(
+        self, pool, engine
+    ):
+        """Each executed perf cell materializes its workload exactly
+        once — fresh or from a cache — on the coordinator (serial) or
+        in a worker, whose chunk deltas the coordinator sums."""
+        results = run_grid(self.spec_on(engine), pool=POOLS[pool]())
         stats = results.run_stats.workloads
         assert stats is not None
+        assert results.run_stats.executed == 3
         assert stats.generated >= 1
-        assert stats.attached >= 1
-        assert shm_names() == before
+        assert stats.generated + stats.trace_hits == results.run_stats.executed
+        if engine == "batched":
+            assert stats.decode_hits >= 1
+        else:
+            assert stats.decode_hits == 0
 
     def test_serial_run_hits_caches(self):
         """Serial cells over one workload hit the trace (and, under the
         batched engine, decode) caches; the accounting lands in
         RunStats."""
-        spec = dataclasses.replace(
-            self.SPEC,
-            base_params=dataclasses.replace(
-                self.SPEC.base_params, engine="batched"
-            ),
-        )
-        results = run_grid(spec, pool=SerialPool())
+        results = run_grid(self.spec_on("batched"), pool=SerialPool())
         stats = results.run_stats.workloads
         assert stats is not None
         assert stats.generated == 1
         assert stats.trace_hits >= 1
         assert stats.decode_hits >= 1
 
-    def test_plane_off_means_no_stats(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKLOAD_PLANE", "off")
-        for pool in (SerialPool(), ProcessPool(2)):
-            results = run_grid(self.SPEC, pool=pool)
-            assert results.run_stats.workloads is None
-
-    def test_no_shm_leak_after_cell_failure(self, tmp_path):
-        """A failing cell still tears every published segment down."""
-        before = shm_names()
-        spec = dataclasses.replace(
-            self.SPEC,
-            workloads=["povray", f"trace:{tmp_path / 'missing'}"],
-        )
-        with pytest.raises(RuntimeError):
-            run_grid(spec, pool=ProcessPool(2))
-        assert shm_names() == before
-
-    def test_no_shm_leak_after_interrupt(self):
-        """Ctrl-C mid-run: the drain path unlinks published segments."""
+    def test_interrupt_drain_keeps_plane_deltas(self):
+        """Ctrl-C mid-run: every chunk the coordinator filed — in the
+        main loop or by the interrupt drain — brings its plane delta."""
         from repro.sim.experiment import plan_cells
         from repro.sim.pool import PoolTask
 
-        before = shm_names()
-        pending = list(enumerate(plan_cells(self.SPEC)))
+        recorded = set()
         pool = ProcessPool(2)
         task = PoolTask(
-            pending=pending, run_cell=run_kb_cell,
-            record=lambda position, result: None,
+            pending=list(enumerate(plan_cells(self.SPEC))),
+            run_cell=run_perf_until_srs,
+            record=lambda position, result: recorded.add(position),
         )
         with pytest.raises(KeyboardInterrupt):
             pool.run(task)
-        # The publisher generated the shared workload before the
-        # interrupt hit, and its segments are gone regardless.
-        assert pool.plane_stats is not None
-        assert pool.plane_stats.generated >= 1
-        assert shm_names() == before
+        # rrs runs ahead of srs in its chunk, so at least it completed.
+        assert recorded
+        stats = pool.plane_stats
+        assert stats is not None
+        assert stats.generated >= 1
+        assert stats.generated + stats.trace_hits == len(recorded)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -635,22 +627,10 @@ class TestChunking:
 
         assert cell_cost(self.items(1)[0][1]) == 1.0
 
-    def test_env_escape_hatch(self, monkeypatch):
-        from repro.sim.pool import chunking_enabled
-
-        monkeypatch.delenv("REPRO_GRID_CHUNKING", raising=False)
-        assert chunking_enabled()
-        assert ProcessPool(2).chunking
-        monkeypatch.setenv("REPRO_GRID_CHUNKING", "off")
-        assert not chunking_enabled()
-        assert not ProcessPool(2).chunking
-        # An explicit constructor argument beats the environment.
-        assert ProcessPool(2, chunking=True).chunking
-
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_chunked_runs_are_bit_identical(self, engine, tmp_path):
-        """Serial, per-cell pooled, and chunked pooled runs produce the
-        same result JSON and the same store entries, on both engines."""
+        """Serial and chunked pooled runs produce the same result JSON
+        and the same store entries, on both engines."""
         spec = dataclasses.replace(
             SPEC,
             mitigations=["rrs", "srs"],
@@ -660,8 +640,7 @@ class TestChunking:
         stores = {}
         for label, pool in (
             ("serial", SerialPool()),
-            ("per-cell", ProcessPool(2, chunking=False)),
-            ("chunked", ProcessPool(2, chunking=True)),
+            ("chunked", ProcessPool(2)),
         ):
             store_dir = tmp_path / label
             runs[label] = run_grid(
@@ -671,9 +650,7 @@ class TestChunking:
                 name: (store_dir / name).read_text()
                 for name in entry_files(store_dir)
             }
-        assert runs["per-cell"] == runs["serial"]
         assert runs["chunked"] == runs["serial"]
-        assert stores["per-cell"] == stores["serial"]
         assert stores["chunked"] == stores["serial"]
 
     def test_run_stats_report_chunks(self, flaky_kind, tmp_path):
@@ -699,12 +676,9 @@ class TestChunking:
         assert resumed.run_stats.reused == 1
         assert resumed.run_stats.executed == 1
 
-    def test_interrupt_mid_chunk_keeps_prefix_and_shm_clean(
-        self, interrupt_kind, tmp_path
-    ):
+    def test_interrupt_mid_chunk_keeps_prefix(self, interrupt_kind, tmp_path):
         """A KeyboardInterrupt inside a chunk still delivers the chunk's
-        completed prefix to the store, and no shm segment survives."""
-        before = shm_names()
+        completed prefix to the store."""
         spec = ExperimentSpec(
             kind="pool-interrupt",
             mitigations=["ok", "boom", "also-ok"],
@@ -716,7 +690,6 @@ class TestChunking:
         # Single chunk [ok, boom, also-ok]: ok completed before the
         # interrupt and must survive; the rest resumes later.
         assert len(entry_files(store_dir)) == 1
-        assert shm_names() == before
         ok_only = dataclasses.replace(spec, mitigations=["ok", "also-ok"])
         resumed = run_grid(ok_only, max_workers=1, store=str(store_dir))
         assert resumed.run_stats.reused == 1

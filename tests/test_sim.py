@@ -1,4 +1,4 @@
-"""Tests for the simulation layer: factories, results, simulator, runner."""
+"""Tests for the simulation layer: factories, results, simulator, grids."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.core.srs import SecureRowSwap
 from repro.cpu.core import CoreResult
 from repro.dram.bank import Bank
 from repro.dram.config import DRAMTiming
+from repro.sim.experiment import ExperimentSpec, resolve_workload, run_grid
 from repro.sim.factory import (
     make_mitigation_factory,
     make_tracker,
@@ -20,14 +21,7 @@ from repro.sim.results import (
     normalized_performance,
     slowdown_percent,
 )
-from repro.sim.runner import compare_mitigations, run_workload, sweep_trh
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
-
-# This module deliberately exercises the deprecated runner shims to pin
-# their numbers to the engine path; silence their DeprecationWarning.
-pytestmark = pytest.mark.filterwarnings(
-    r"ignore:repro\.sim\.runner:DeprecationWarning"
-)
 from repro.trackers.hydra import HydraTracker
 from repro.trackers.misra_gries import MisraGriesTracker
 from repro.workloads.suites import ALL_WORKLOADS
@@ -36,30 +30,20 @@ FAST = SimulationParams(
     trh=1200, num_cores=2, requests_per_core=4000, time_scale=32, seed=11
 )
 
-TINY = SimulationParams(
-    trh=1200, num_cores=1, requests_per_core=500, time_scale=32, seed=11
-)
+
+def simulate(workload, mitigation, params):
+    """One workload under one mitigation, straight through the simulator."""
+    return PerformanceSimulation(
+        resolve_workload(workload), mitigation, params
+    ).run()
 
 
-class TestDeprecationSignals:
-    """The legacy shims must actually warn their callers (once each)."""
-
-    def test_run_workload_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            run_workload("povray", "baseline", TINY)
-
-    def test_compare_mitigations_warns_once_for_itself(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compare_mitigations("povray", [], TINY)
-        deprecations = [
-            record for record in caught
-            if issubclass(record.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "compare_mitigations" in str(deprecations[0].message)
+def compare(workload, mitigations, params):
+    """A one-workload grid (baseline included), keyed by mitigation."""
+    spec = ExperimentSpec(
+        workloads=[workload], mitigations=list(mitigations), base_params=params
+    )
+    return run_grid(spec, max_workers=1).by("mitigation")
 
 
 class TestFactory:
@@ -179,19 +163,19 @@ class TestSimulator:
         assert SimulationParams(trh=64, time_scale=32).scaled_trh == 8  # floor
 
     def test_baseline_run_produces_ipc(self):
-        result = run_workload("povray", "baseline", FAST)
+        result = simulate("povray", "baseline", FAST)
         assert result.sum_ipc > 0
         assert result.swaps == 0
         assert result.total_instructions > 0
 
     def test_deterministic_given_seed(self):
-        a = run_workload("gcc", "rrs", FAST)
-        b = run_workload("gcc", "rrs", FAST)
+        a = simulate("gcc", "rrs", FAST)
+        b = simulate("gcc", "rrs", FAST)
         assert a.sum_ipc == b.sum_ipc
         assert a.swaps == b.swaps
 
     def test_mitigations_slow_hot_workloads(self):
-        results = compare_mitigations("gcc", ["rrs", "scale-srs"], FAST)
+        results = compare("gcc", ["rrs", "scale-srs"], FAST)
         base = results["baseline"]
         rrs = normalized_performance(base, results["rrs"])
         scale = normalized_performance(base, results["scale-srs"])
@@ -200,7 +184,7 @@ class TestSimulator:
         assert scale > rrs  # Scale-SRS cheaper than RRS
 
     def test_streaming_workload_unaffected(self):
-        results = compare_mitigations("lbm", ["rrs"], FAST)
+        results = compare("lbm", ["rrs"], FAST)
         normalized = normalized_performance(results["baseline"], results["rrs"])
         assert normalized == pytest.approx(1.0, abs=0.01)
 
@@ -218,16 +202,30 @@ class TestSimulator:
 
     def test_unknown_workload(self):
         with pytest.raises(KeyError):
-            run_workload("not-a-benchmark", "baseline", FAST)
+            simulate("not-a-benchmark", "baseline", FAST)
 
 
 class TestRunner:
     def test_sweep_trh_shape(self):
-        sweep = sweep_trh("hmmer", "rrs", [4800, 1200], FAST)
+        spec = ExperimentSpec(
+            workloads=["hmmer"],
+            mitigations=["rrs"],
+            base_params=FAST,
+            grid={"trh": [4800, 1200]},
+        )
+        sweep = run_grid(spec, max_workers=1).sweep("hmmer", "rrs")
         assert set(sweep) == {4800, 1200}
         # Lower threshold -> more swaps -> worse (or equal) performance.
         assert sweep[1200] <= sweep[4800] + 0.02
 
     def test_compare_includes_baseline_once(self):
-        results = compare_mitigations("povray", ["baseline", "rrs"], FAST)
-        assert set(results) == {"baseline", "rrs"}
+        results = run_grid(
+            ExperimentSpec(
+                workloads=["povray"],
+                mitigations=["baseline", "rrs"],
+                base_params=FAST,
+            ),
+            max_workers=1,
+        )
+        assert len(results) == 2
+        assert {result.mitigation for result in results} == {"baseline", "rrs"}

@@ -1,14 +1,13 @@
 #!/usr/bin/env python
-"""End-to-end grid throughput benchmark: workload plane on vs. off.
+"""End-to-end grid throughput benchmark: serial vs. pooled execution.
 
 Where ``bench_hotpath.py`` times single cells inside one process, this
 benchmark times what a user actually runs: a whole
 ``mitigations x trackers x trh`` grid over one recorded workload,
-serial and pooled, with the workload plane enabled and disabled. The
-plane's job is to eliminate the per-cell fixed cost (trace load, address
-decode, batched-engine ``tolist``), so the honest metric is end-to-end
-cells/second on the full grid — including pool startup, shared-memory
-publication, and result plumbing.
+serial and on a process pool. The honest metric is end-to-end
+cells/second on the full grid — including pool startup, workload
+materialization through the plane's per-process caches, and result
+plumbing.
 
 Run from the repository root::
 
@@ -21,21 +20,22 @@ Run from the repository root::
 
 The workload is a freshly recorded single-file (rate-mode) trace:
 every core of every cell replays the same recorded stream, which is the
-plane's hardest-working case — without it, each cell re-reads and
-re-decodes the file once *per core*. The benchmark asserts all four
-modes produced bit-identical result sets before reporting any number,
-and that no ``repro-`` shared-memory segment survived.
+workload plane's hardest-working case — its caches decode the file
+once per process instead of once per core per cell. The benchmark
+asserts both modes produced bit-identical result sets before reporting
+any number, and prints the pooled run's ``workloads:`` accounting line.
 
 A second, *analytical* section times a high-cardinality security grid
-(hundreds of microsecond-scale closed-form cells) under per-cell vs
+(hundreds of microsecond-scale closed-form cells) serially and under
 chunked pool dispatch — the chunk scheduler's target case — printing
-the greppable ``chunked cells/sec:`` line and asserting all dispatch
-modes match the serial reference bit-identically.
+the greppable ``chunked cells/sec:`` line and asserting the chunked
+run matches the serial reference bit-identically.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -124,18 +124,14 @@ def run_analytical_mode(
 ) -> Dict[str, Any]:
     """Time the analytical grid in one dispatch mode, best of ``repeats``.
 
-    Modes: ``serial`` (the unchunked in-process reference every other
-    mode must match bit-identically), ``per-cell`` (pooled, one cell
-    per dispatch — the pre-chunking behavior), ``chunked`` (pooled,
-    cost-budgeted chunks).
+    Modes: ``serial`` (the in-process reference the pooled mode must
+    match bit-identically) and ``chunked`` (pooled, cost-budgeted
+    chunks).
     """
     best = float("inf")
     results = None
     for _ in range(repeats):
-        if mode == "serial":
-            pool = SerialPool()
-        else:
-            pool = ProcessPool(workers, chunking=(mode == "chunked"))
+        pool = SerialPool() if mode == "serial" else ProcessPool(workers)
         started = time.perf_counter()
         results = run_grid(spec, pool=pool)
         best = min(best, time.perf_counter() - started)
@@ -151,24 +147,21 @@ def run_analytical_mode(
 
 
 def run_analytical_benchmark(quick: bool, repeats: int) -> Dict[str, Any]:
-    """The analytical section: serial vs per-cell vs chunked dispatch."""
+    """The analytical section: serial vs chunked pooled dispatch."""
     spec = build_analytical_spec(quick)
     spec.validate()
     workers = min(4, available_cpu_count())
     modes = [
         run_analytical_mode(spec, mode, workers, repeats)
-        for mode in ("serial", "per-cell", "chunked")
+        for mode in ("serial", "chunked")
     ]
-    reference = modes[0].pop("_json")
-    for mode in modes[1:]:
-        if mode.pop("_json") != reference:
-            raise AssertionError(
-                f"analytical mode {mode['mode']} changed results — "
-                f"bit-identity violated"
-            )
-    serial, per_cell, chunked = modes
+    serial, chunked = modes
+    if chunked.pop("_json") != serial.pop("_json"):
+        raise AssertionError(
+            "chunked analytical run changed results — bit-identity violated"
+        )
     speedup = round(
-        chunked["cells_per_second"] / per_cell["cells_per_second"], 3
+        chunked["cells_per_second"] / serial["cells_per_second"], 3
     )
     for mode in modes:
         chunk_note = (
@@ -181,7 +174,7 @@ def run_analytical_benchmark(quick: bool, repeats: int) -> Dict[str, Any]:
         )
     # Greppable by the CI grid-throughput-smoke job.
     print(f"chunked cells/sec: {chunked['cells_per_second']:.2f}")
-    print(f"analytical chunked speedup: {speedup:.2f}x")
+    print(f"analytical chunked/serial speedup: {speedup:.2f}x")
     return {
         "cells": serial["cells"],
         "workers": workers,
@@ -190,18 +183,15 @@ def run_analytical_benchmark(quick: bool, repeats: int) -> Dict[str, Any]:
     }
 
 
-def run_mode(
-    spec: ExperimentSpec, pooled: bool, enabled: bool, repeats: int
-) -> Dict[str, Any]:
-    """Time ``run_grid`` in one (pooled?, plane?) mode, best of ``repeats``.
+def run_mode(spec: ExperimentSpec, pooled: bool, repeats: int) -> Dict[str, Any]:
+    """Time ``run_grid`` serially or pooled, best of ``repeats``.
 
     Every repeat starts from a cold plane (the fixed cost under test is
     exactly what the plane amortizes *within* one grid run); the numbers
-    include pool startup and shared-memory publication. Returns seconds,
-    cells/sec, the result JSON (for the bit-identity assertion), and the
-    plane accounting of the final repeat.
+    include pool startup. Returns seconds, cells/sec, the result JSON
+    (for the bit-identity assertion), and the plane accounting of the
+    final repeat.
     """
-    os.environ[plane.ENV_PLANE] = "on" if enabled else "off"
     best = float("inf")
     results = None
     for _ in range(repeats):
@@ -210,25 +200,16 @@ def run_mode(
         started = time.perf_counter()
         results = run_grid(spec, pool=pool)
         best = min(best, time.perf_counter() - started)
-    os.environ.pop(plane.ENV_PLANE, None)
     stats = results.run_stats
     workloads = stats.workloads
     return {
         "pooled": pooled,
-        "plane": enabled,
         "seconds": round(best, 4),
         "cells": stats.planned,
         "cells_per_second": round(stats.planned / best, 3),
-        "workloads": (
-            None if workloads is None else {
-                "generated": workloads.generated,
-                "attached": workloads.attached,
-                "trace_hits": workloads.trace_hits,
-                "decode_hits": workloads.decode_hits,
-            }
-        ),
+        "workloads": dataclasses.asdict(workloads),
         "_json": results.to_json(),
-        "_line": None if workloads is None else workloads.line,
+        "_line": workloads.line,
     }
 
 
@@ -245,7 +226,7 @@ def host_info() -> Dict[str, Any]:
 
 
 def main(argv: List[str] = None) -> int:
-    """Run the four modes, assert bit-identity, write the JSON report."""
+    """Run both sections, assert bit-identity, write the JSON report."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
@@ -284,43 +265,27 @@ def main(argv: List[str] = None) -> int:
         plane.reset()
 
         modes = [
-            run_mode(spec, pooled=False, enabled=False, repeats=repeats),
-            run_mode(spec, pooled=False, enabled=True, repeats=repeats),
-            run_mode(spec, pooled=True, enabled=False, repeats=repeats),
-            run_mode(spec, pooled=True, enabled=True, repeats=repeats),
+            run_mode(spec, pooled=False, repeats=repeats),
+            run_mode(spec, pooled=True, repeats=repeats),
         ]
 
-    reference = modes[0].pop("_json")
-    for mode in modes[1:]:
-        if mode.pop("_json") != reference:
-            raise AssertionError(
-                f"plane changed results in mode pooled={mode['pooled']} "
-                f"plane={mode['plane']} — bit-identity violated"
-            )
-    leaked = [f for f in os.listdir("/dev/shm") if f.startswith("repro-")] \
-        if os.path.isdir("/dev/shm") else []
-    if leaked:
-        raise AssertionError(f"leaked shared-memory segments: {leaked}")
-
+    serial, pooled = modes
+    if pooled.pop("_json") != serial.pop("_json"):
+        raise AssertionError(
+            "pooled grid run changed results — bit-identity violated"
+        )
     lines = [mode.pop("_line") for mode in modes]
-    serial_off, serial_on, pooled_off, pooled_on = modes
-    serial_speedup = round(
-        serial_on["cells_per_second"] / serial_off["cells_per_second"], 3
-    )
     pooled_speedup = round(
-        pooled_on["cells_per_second"] / pooled_off["cells_per_second"], 3
+        pooled["cells_per_second"] / serial["cells_per_second"], 3
     )
     for mode in modes:
-        label = ("pooled" if mode["pooled"] else "serial") + (
-            " plane-on " if mode["plane"] else " plane-off"
-        )
+        label = "pooled" if mode["pooled"] else "serial"
         print(
             f"{label}  {mode['cells']} cells in {mode['seconds']:.3f}s  "
             f"{mode['cells_per_second']:>8.2f} cells/s"
         )
-    # The plane-on pooled accounting, greppable by the CI smoke job.
-    if lines[3]:
-        print(lines[3])
+    # The pooled run's plane accounting, greppable by the CI smoke job.
+    print(lines[1])
 
     analytical = run_analytical_benchmark(args.quick, repeats)
 
@@ -340,9 +305,8 @@ def main(argv: List[str] = None) -> int:
         "modes": modes,
         "analytical": analytical,
         "summary": {
-            "serial_speedup": serial_speedup,
-            "pooled_speedup": pooled_speedup,
-            "analytical_chunked_speedup": analytical["chunked_speedup"],
+            "pooled_over_serial": pooled_speedup,
+            "analytical_chunked_over_serial": analytical["chunked_speedup"],
         },
     }
     payload: Dict[str, Any] = report
@@ -360,9 +324,8 @@ def main(argv: List[str] = None) -> int:
         handle.write("\n")
     print(f"\nwrote {args.out}"
           + (f" ({len(payload['runs'])} run(s))" if args.append else ""))
-    # One greppable line per tier for the CI grid-throughput-smoke log.
-    print(f"serial grid speedup: {serial_speedup:.2f}x")
-    print(f"pooled grid speedup: {pooled_speedup:.2f}x")
+    # Greppable by the CI grid-throughput-smoke job.
+    print(f"grid pooled/serial speedup: {pooled_speedup:.2f}x")
     return 0
 
 
