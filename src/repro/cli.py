@@ -18,8 +18,9 @@ Commands:
 - ``power`` — Table V power overheads.
 - ``report`` — emit registered paper figures/tables (markdown + CSV)
   from the result store, executing only missing cells.
-- ``store ls`` / ``store prune`` / ``store pack`` — inspect, clean,
-  and compact a result store.
+- ``store ls`` / ``store prune`` — inspect and clean a result store;
+  ``store import OLD DIR`` adopts a pre-sqlite (loose or packed) store
+  directory, or another store, digest-verified.
 
 Mitigation and tracker choices are generated from
 :mod:`repro.registry`, so a newly registered design shows up here with
@@ -33,19 +34,20 @@ are bit-identical, so the flag only trades wall-clock time (see
 all route through the experiment engine (:mod:`repro.sim.experiment`),
 so they share parallel execution (``--jobs``), CSV/JSON export, and
 the persistent result store: ``--store DIR`` saves every completed
-cell, ``--resume`` reuses stored cells bit-identically (rerun a killed
-grid and only the missing cells execute), and ``--shard i/n`` runs one
-digest-stable slice of the grid — ``n`` such runs against a shared
-store cover the grid exactly once (see :mod:`repro.sim.store`).
-``grid --hosts user@h1,user@h2`` fans those shards out over plain
-``ssh`` and merges the remote stores back into ``--store``
-(see :mod:`repro.sim.pool`).
+cell in one sqlite file under ``DIR`` (a local directory, never a
+network filesystem), ``--resume`` reuses stored cells bit-identically
+(rerun a killed grid and only the missing cells execute), and
+``--shard i/n`` runs one digest-stable slice of the grid — ``n`` such
+runs against one store cover the grid exactly once (see
+:mod:`repro.sim.store`). ``grid --hosts user@h1,user@h2`` fans those
+shards out over plain ``ssh`` and merges the remote stores back into
+``--store`` (see :mod:`repro.sim.pool`).
 
 ``report`` sits on top of the same engine: every registered figure
 (:mod:`repro.report`) resolves its grids against ``--store`` and only
 missing cells execute, so ``repro report --all --store DIR`` run twice
 prints ``report: executed 0`` the second time, and ``--shard i/n``
-splits a full-paper reproduction across hosts sharing one store.
+splits a full-paper reproduction across processes sharing one store.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from repro.sim import (
 from repro.sim.engine import ENGINE_NAMES
 from repro.sim.experiment import resolve_workload
 from repro.sim.simulator import default_engine
+from repro.sim.store import StoreError
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.sources import TraceWorkload
 from repro.workloads.suites import ALL_WORKLOADS, PROFILES
@@ -630,8 +633,8 @@ def _cmd_store_ls(args: argparse.Namespace) -> int:
         f"{len(inventory.stale)} stale, {len(inventory.corrupt)} corrupt"
     )
     if args.verbose:
-        for path, reason in inventory.prunable:
-            print(f"  {os.path.basename(path)}: {reason}")
+        for digest, reason in inventory.prunable:
+            print(f"  {digest}: {reason}")
     if inventory.prunable:
         print("run 'repro store prune' to remove stale/corrupt entries")
     return 0
@@ -642,19 +645,21 @@ def _cmd_store_prune(args: argparse.Namespace) -> int:
 
     removals = ResultStore(args.dir).prune(dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
-    for path, reason in removals:
-        print(f"{verb} {os.path.basename(path)}: {reason}")
+    for digest, reason in removals:
+        print(f"{verb} {digest}: {reason}")
     print(f"{verb} {len(removals)} entries")
     return 0
 
 
-def _cmd_store_pack(args: argparse.Namespace) -> int:
+def _cmd_store_import(args: argparse.Namespace) -> int:
     from repro.sim.store import ResultStore
 
-    stats = ResultStore(args.dir).pack()
+    if not os.path.isdir(args.source):
+        raise SystemExit(f"store import: no directory {args.source}")
+    stats = ResultStore(args.dir).merge_from(args.source)
     print(
-        f"packed {stats.packed} entries "
-        f"({stats.duplicate} already packed, {stats.skipped} skipped)"
+        f"imported {stats.adopted} entries ({stats.present} already "
+        f"present, {stats.unverified} unverified, {stats.rejected} rejected)"
     )
     return 0
 
@@ -745,8 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "user@host list, or @FILE with one host per line "
                         "(needs --store; drives sharding itself)")
     p.add_argument("--remote-store", metavar="DIR",
-                   help="store directory on the remote hosts (default: the "
-                        "--store path — right for shared filesystems and "
+                   help="store directory on the remote hosts, on their "
+                        "local disks (default: the --store path — right for "
                         "localhost workers)")
     p.add_argument("--ssh", metavar="CMD",
                    default=os.environ.get("REPRO_SSH"),
@@ -879,12 +884,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_store_prune)
 
     p = store_sub.add_parser(
-        "pack", help="fold loose per-cell files into the packed segment "
-                     "(pack.seg + pack.idx); reads and --resume are "
-                     "unaffected"
+        "import", help="adopt every entry of a pre-sqlite store directory "
+                       "(loose *.json files and pack.seg) or of another "
+                       "store, digest-verified"
     )
-    p.add_argument("dir", help="result store directory")
-    p.set_defaults(func=_cmd_store_pack)
+    p.add_argument("source", help="directory to read (left unchanged)")
+    p.add_argument("dir", help="result store directory to import into")
+    p.set_defaults(func=_cmd_store_import)
 
     return parser
 
@@ -901,6 +907,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
+    except StoreError as error:
+        raise SystemExit(f"repro: {error}")
 
 
 if __name__ == "__main__":

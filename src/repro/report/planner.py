@@ -14,7 +14,8 @@ Resolution composes with everything the engine already does:
 - ``store``/``reuse`` make a repeated report incremental (the second
   run of ``repro report --all`` executes zero cells);
 - ``shard=(i, n)`` restricts execution to one digest-stable slice of
-  every figure's grid, so N hosts sharing a store split a full-paper
+  every figure's grid, so N processes sharing a store (or N hosts
+  whose stores are merged afterwards) split a full-paper
   reproduction with no coordination (rendering needs the full grid,
   so shard runs skip the analytic hook and artifacts — a final
   unsharded pass reads everything back and emits them);

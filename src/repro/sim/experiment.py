@@ -52,7 +52,7 @@ and the engine takes care of the rest:
   content-addressed :class:`~repro.sim.store.ResultStore`, and already-
   stored cells are reused bit-identically — interrupted grids resume,
   repeated sweeps are incremental, and ``shard=(i, n)`` splits one grid
-  across processes or machines sharing a store
+  across processes sharing a store, or machines whose stores merge
   (see :mod:`repro.sim.store`).
 - **Result sets** (:class:`ResultSet`) hold results of heterogeneous
   kinds, pair each ``perf`` result with its matching baseline for
@@ -502,6 +502,8 @@ def run_grid(
 
     cached: Dict[int, Any] = {}
     if store is not None and reuse:
+        # One query per block of digests, not one per cell.
+        store.read_ahead(digests.values())
         for position, cell in enumerate(jobs):
             hit = store.get(cell, digest=digests[position])
             if hit is not None:

@@ -48,9 +48,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.registry import EVALUATIONS
 from repro.sim.store import (
+    STORE_FILE,
     MergeStats,
-    PACK_INDEX,
-    PACK_SEGMENT,
     ResultStore,
 )
 from repro.workloads import plane
@@ -777,13 +776,14 @@ class SshPool(Pool):
             self._echo(label, f"store collection failed: {error}")
 
     def _collect_over_ssh(self, host: str, store: ResultStore) -> MergeStats:
-        """Stream the remote store as a tarball and merge the payload.
+        """Stream the remote store as a tarball and merge it by digest.
 
         Dependency-free: ``tar`` on the remote side, :mod:`tarfile`
-        locally. Only regular ``*.json`` members plus the packed-tier
-        files (``pack.seg``/``pack.idx``) are extracted (by basename,
-        into a staging directory), so a hostile or confused archive
-        cannot write outside it.
+        locally. Only the database file and its ``-wal`` file (which
+        holds commits not yet checkpointed into it, e.g. from a killed
+        worker) are extracted, by basename, into a staging directory —
+        so a hostile or confused archive cannot write outside it — and
+        opening the staged copy replays the WAL before the merge.
         """
         command = f"tar -C {shlex.quote(self.remote_store)} -cf - ."
         proc = subprocess.run(
@@ -798,10 +798,7 @@ class SshPool(Pool):
             with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as archive:
                 for member in archive.getmembers():
                     name = os.path.basename(member.name)
-                    wanted = name.endswith(".json") or name in (
-                        PACK_SEGMENT,
-                        PACK_INDEX,
-                    )
+                    wanted = name in (STORE_FILE, STORE_FILE + "-wal")
                     if not member.isfile() or not wanted:
                         continue
                     extracted = archive.extractfile(member)

@@ -4,11 +4,12 @@ Every grid cell is deterministic in its own description — evaluation
 kind, workload, mitigation, and full parameter record — so a completed
 cell never needs to run twice. This module keys each result under a
 stable SHA-256 digest of that description (plus the kind's schema
-version) and persists it as one JSON file per cell::
+version) and persists it as one row of one sqlite file per store
+directory::
 
     store/
-      a3f09c...e1.json     {"kind": ..., "schema_version": ...,
-      77b2d4...09.json      "cell": {...}, "result": {...}}
+      results.sqlite       results(digest PRIMARY KEY, kind,
+                                   schema_version, cell, result)
 
 which buys the experiment engine three properties:
 
@@ -20,38 +21,32 @@ which buys the experiment engine three properties:
   workload) recomputes only the new cells; the digest of an existing
   cell does not depend on what else is in the grid.
 - **Sharding**: :func:`shard_of` partitions cells by digest, so ``n``
-  processes (or machines) each running ``shard=(i, n)`` against one
-  shared store cover the grid exactly once, in any order, with no
-  coordination.
+  processes each running ``shard=(i, n)`` against one store cover the
+  grid exactly once, in any order, with no coordination (separate
+  machines each keep a local store and merge them, see
+  :meth:`ResultStore.merge_from`).
 
-Safety: writes are atomic (temp file + ``os.replace``); a corrupted,
-truncated, or foreign file is treated as a miss (the cell reruns and
-the entry is rewritten); a schema-version bump in the kind's
-registration invalidates its stored cells by changing their digests,
-and the version recorded inside each payload is verified on read as a
-second line of defense.
+Safety: the file runs in WAL mode with ``synchronous=NORMAL`` and a
+busy timeout, so concurrent writers (two grids, or a grid next to a
+report) serialize on sqlite's write lock instead of losing rows, and
+:meth:`ResultStore.put_many` commits a whole chunk or none of it. A
+row whose kind, schema version or result does not decode is a miss
+(the cell reruns and the row is rewritten); a schema-version bump in
+the kind's registration invalidates its stored cells by changing their
+digests. Reads parse only the ``result`` column. A store must live on
+a local filesystem: sqlite's locking is not safe over NFS and the
+like.
 
-**Packed tier**: one file per cell melts down at 10k+ entries (one
-open + one atomic rename each, and directory scans touch every inode).
-``repro store pack`` (:meth:`ResultStore.pack`) folds the loose files
-into an append-only *segment* (``pack.seg``: one ``<digest> <payload>``
-line per cell) plus an offset-index sidecar (``pack.idx``), leaving
-the directory at two files however many cells it holds::
+Fork rule: the connection opens lazily, one per store object and
+process. It is closed before every ``fork``, so a child inherits no
+sqlite state (inherited lock bookkeeping would let the parent, closing
+its connection, delete the WAL a child still commits to), and it is
+guarded by pid, so a forked pool worker never uses its parent's
+handle.
 
-    store/
-      pack.seg             a3f09c...e1 {"kind": ..., "result": ...}
-      pack.idx             {"version": 1, "entries": {digest: [off, len]}}
-      77b2d4...09.json     (new results keep landing as loose files)
-
-Reads go through the in-memory index (loaded lazily on the first
-lookup) with a loose-file fallback, so packed and loose entries serve
-``--resume`` identically; writes always land loose (packing is an
-explicit fold, never a hot-path cost). The index is derived state: a
-corrupt or missing sidecar is rebuilt by scanning the segment, and a
-corrupt segment record is a silent miss that heals like a corrupt
-loose file (the cell reruns, the rewrite lands loose, ``pack`` folds
-it back). Digests, payloads, and :func:`shard_of` are untouched —
-resume, shard, and merge semantics are bit-identical across tiers.
+Stores written before the sqlite tier (one ``<digest>.json`` file per
+cell, optionally folded into ``pack.seg``) are read only by
+:meth:`ResultStore.merge_from` — ``repro store import OLD NEW``.
 """
 
 from __future__ import annotations
@@ -60,20 +55,50 @@ import hashlib
 import json
 import os
 import re
-import tempfile
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.registry import EVALUATIONS
 
-#: Filenames of the packed tier inside a store directory.
-PACK_SEGMENT = "pack.seg"
-PACK_INDEX = "pack.idx"
+#: The database file inside a store directory.
+STORE_FILE = "results.sqlite"
 
-#: Version stamp of the pack-index sidecar format.
-PACK_VERSION = 1
+#: Digests per ``SELECT ... WHERE digest IN (...)`` on the read-ahead
+#: path (below sqlite's historical 999-parameter limit).
+READ_AHEAD_BLOCK = 256
+
+#: Seconds a writer waits for another process's write lock.
+BUSY_TIMEOUT_S = 60.0
+
+#: Page-cache cap per connection, in KiB.
+CACHE_KIB = 512
+
+_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS results ("
+    "digest TEXT PRIMARY KEY, kind TEXT, schema_version INTEGER, "
+    "cell TEXT, result TEXT)"
+)
 
 _HEX64 = re.compile(r"[0-9a-f]{64}")
+
+#: Store objects with an open connection, closed before every fork.
+_OPEN: "weakref.WeakSet[ResultStore]" = weakref.WeakSet()
+
+
+def _close_before_fork() -> None:
+    for store in list(_OPEN):
+        store.close()
+
+
+os.register_at_fork(before=_close_before_fork)
+
+
+class StoreError(RuntimeError):
+    """A store directory holds something that is not a result store."""
 
 
 def _workload_fingerprint(cell: Any) -> Optional[Any]:
@@ -150,10 +175,19 @@ def key_digest(key: Mapping[str, Any]) -> str:
     (the engine passes both to :meth:`ResultStore.put`) compute the
     trace-fingerprint ``stat`` pass exactly once.
     """
-    payload = json.dumps(
-        key, sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _text_digest(_canonical(key))
+
+
+#: The canonical JSON text of a cell key (what :func:`key_digest`
+#: hashes, and what a row's ``cell`` column holds). One encoder for
+#: every call: ``json.dumps`` would build a new one per key.
+_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=str
+).encode
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def cell_digest(cell: Any, with_fingerprint: bool = True) -> str:
@@ -205,8 +239,8 @@ class MergeStats:
     ``adopted`` entries were copied in; ``present`` already existed in
     the destination (first write wins — both sides computed the same
     deterministic cell, so the bytes agree); ``unverified`` entries
-    failed digest verification (the payload's cell record does not hash
-    to the entry's address — renamed, tampered, or written by a store
+    failed digest verification (the entry's cell record does not hash
+    to its address — renamed, tampered, or written by a store
     predating the fingerprint-carrying payload format) and were left
     behind; ``rejected`` entries were corrupt or stale (unreadable, an
     unknown kind, or a schema-version mismatch).
@@ -224,36 +258,14 @@ class MergeStats:
 
 
 @dataclass
-class PackStats:
-    """What one :meth:`ResultStore.pack` pass did.
-
-    ``packed`` loose entries were appended to the segment (and their
-    loose files removed); ``duplicate`` loose entries were already in
-    the segment under the same address (identical bytes by content
-    addressing — the loose copy is simply removed); ``skipped``
-    entries were stale or corrupt and stay loose for ``prune``.
-    """
-
-    packed: int = 0
-    duplicate: int = 0
-    skipped: int = 0
-
-    @property
-    def folded(self) -> int:
-        """Loose files removed by the pass."""
-        return self.packed + self.duplicate
-
-
-@dataclass
 class StoreInventory:
     """What a :meth:`ResultStore.inventory` scan found.
 
-    ``live`` counts well-formed entries per ``(kind, stored schema
+    ``live`` counts well-formed rows per ``(kind, stored schema
     version)`` — including versions the registered kind no longer
     declares (those are *stale*: reads treat them as misses).
-    ``stale`` and ``corrupt`` list the entries :meth:`ResultStore.prune`
-    would remove, with a reason each; packed records are listed as
-    ``pack.seg#<digest>`` (pruning them compacts the segment).
+    ``stale`` and ``corrupt`` list the rows :meth:`ResultStore.prune`
+    would remove, as ``(digest, reason)``.
     """
 
     live: Dict[Tuple[str, int], int] = field(default_factory=dict)
@@ -262,430 +274,296 @@ class StoreInventory:
 
     @property
     def total(self) -> int:
-        """Total entry files scanned."""
+        """Total rows scanned."""
         return sum(self.live.values()) + len(self.stale) + len(self.corrupt)
 
     @property
     def prunable(self) -> List[Tuple[str, str]]:
-        """(path, reason) of every entry pruning would remove."""
+        """(digest, reason) of every row pruning would remove."""
         return self.stale + self.corrupt
 
 
+#: One stored entry: ``(digest, kind, schema_version, cell, result)``,
+#: ``cell`` and ``result`` as JSON text (``None`` fields: unreadable).
+Row = Tuple[str, Any, Any, Any, Any]
+
+
+def _classify(kind: Any, version: Any, result: Any) -> Tuple[str, Any]:
+    """``(state, detail)`` of one entry's columns.
+
+    States: ``live`` (well-formed; detail is the ``(kind, version)``
+    bucket), ``stale`` (well-formed but unreadable by the current
+    registrations — unknown kind, old schema version, or a result
+    record the kind's deserializer rejects), ``corrupt`` (missing
+    fields or an unparseable result). Reads already treat stale and
+    corrupt entries as silent misses; this makes them visible to
+    ``repro store ls`` / ``prune``.
+    """
+    try:
+        if kind is None or version is None:
+            raise ValueError("missing envelope field")
+        record = json.loads(result)
+    except (ValueError, TypeError):
+        return "corrupt", "unreadable or truncated payload"
+    if kind not in EVALUATIONS:
+        return "stale", f"unknown evaluation kind {kind!r}"
+    info = EVALUATIONS.get(kind)
+    if version != info.schema_version:
+        return "stale", f"{kind} schema v{version} (current v{info.schema_version})"
+    try:
+        info.result_from_dict(record)
+    except Exception:
+        return "stale", f"{kind} result fails to deserialize"
+    return "live", (kind, version)
+
+
+def _legacy_rows(directory: str) -> Iterator[Row]:
+    """Every entry of a pre-sqlite store directory: loose
+    ``<digest>.json`` files first, then ``pack.seg`` lines
+    (``<digest> <payload>``). The one reader of the old tiers."""
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError:
+        names = []
+    for name in names:
+        if name.endswith(".json"):
+            try:
+                with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                    text: Optional[str] = handle.read()
+            except OSError:
+                text = None
+            yield _legacy_row(name[: -len(".json")], text)
+    if "pack.seg" not in names:
+        return
+    with open(os.path.join(directory, "pack.seg"), "rb") as handle:
+        for line in handle:
+            digest = line[:64].decode("ascii", "replace")
+            if line[64:65] == b" " and _HEX64.fullmatch(digest):
+                yield _legacy_row(digest, line[65:].decode("utf-8", "replace"))
+
+
+def _legacy_row(digest: str, text: Optional[str]) -> Row:
+    try:
+        payload = json.loads(text)  # type: ignore[arg-type]
+        return (
+            digest,
+            payload["kind"],
+            payload["schema_version"],
+            _canonical(payload.get("cell", {})),
+            json.dumps(payload["result"]),
+        )
+    except (ValueError, KeyError, TypeError):
+        return digest, None, None, None, None
+
+
+def _connect(path: str) -> Any:
+    """Open (creating if needed) the database at ``path``."""
+    import sqlite3
+
+    db = sqlite3.connect(
+        path, timeout=BUSY_TIMEOUT_S, isolation_level=None,
+        check_same_thread=False,
+    )
+    try:
+        db.execute("PRAGMA journal_mode=WAL")
+        db.execute("PRAGMA synchronous=NORMAL")
+        db.execute(f"PRAGMA cache_size=-{CACHE_KIB}")
+        db.execute(_SCHEMA)
+    except sqlite3.DatabaseError as error:
+        db.close()
+        raise StoreError(f"{path}: not a usable result store ({error})") from None
+    return db
+
+
 class ResultStore:
-    """A directory of completed experiment cells: loose JSON files plus
-    an optional packed segment (see the module docstring).
+    """A directory holding one sqlite file of completed experiment cells
+    (see the module docstring).
 
     Args:
         path: Store directory (created on first use). Safe to share
-            between concurrent shard runs: cells are single files,
-            written atomically, and two runs computing the same cell
-            write identical bytes. :meth:`pack` is the one operation
-            that should not race concurrent packs of the same store.
+            between concurrent processes on one machine: writes are
+            transactions, and two runs computing the same cell write
+            identical rows.
     """
 
     def __init__(self, path: str):
         self.path = path
         os.makedirs(path, exist_ok=True)
-        #: Lazy ``digest -> (offset, length)`` view of ``pack.seg``
-        #: (``None`` until the first packed lookup).
-        self._pack: Optional[Dict[str, Tuple[int, int]]] = None
+        self.file = os.path.join(path, STORE_FILE)
+        self._conn: Any = None
+        self._inherited: Any = None
+        self._pid: Optional[int] = None
+        #: Digests announced by :meth:`read_ahead`, not yet fetched.
+        self._queue: Iterator[str] = iter(())
+        #: Fetched rows awaiting their ``get`` (``None``: no row).
+        self._ahead: Dict[str, Optional[Tuple[Any, Any, Any]]] = {}
 
-    def _cell_path(self, cell: Any, digest: Optional[str] = None) -> str:
-        return os.path.join(self.path, (digest or cell_digest(cell)) + ".json")
+    # -- connection ----------------------------------------------------
+
+    def _db(self) -> Any:
+        """This process's connection, opened on first use."""
+        pid = os.getpid()
+        if self._pid != pid:
+            # Never use (nor close) a handle inherited over fork.
+            self._inherited, self._conn = self._conn, None
+            self._pid = pid
+        if self._conn is None:
+            if not os.path.exists(self.file):
+                self._refuse_legacy_directory()
+            self._conn = _connect(self.file)
+            _OPEN.add(self)
+        return self._conn
+
+    def _refuse_legacy_directory(self) -> None:
+        """A pre-sqlite store would silently read as empty: name it."""
+        try:
+            names = os.listdir(self.path)
+        except OSError:
+            return
+        if "pack.seg" in names or any(
+            _HEX64.fullmatch(name[:-5]) and name.endswith(".json") for name in names
+        ):
+            raise StoreError(
+                f"{self.path} holds a pre-sqlite result store; run "
+                f"'repro store import {self.path} NEW_DIR' and use NEW_DIR"
+            )
+
+    def close(self) -> None:
+        """Close this process's connection (the next use reopens it)."""
+        if self._conn is not None and self._pid == os.getpid():
+            self._conn.close()
+            self._conn = None
+        _OPEN.discard(self)
+
+    @contextmanager
+    def _write(self) -> Iterator[Any]:
+        """One write transaction: commits on success, rolls back (so
+        persists nothing) on any exception."""
+        db = self._db()
+        db.execute("BEGIN IMMEDIATE")
+        try:
+            yield db
+        except BaseException:
+            if db.in_transaction:
+                db.execute("ROLLBACK")
+            raise
+        db.execute("COMMIT")
+        self._ahead = {}
 
     def __contains__(self, cell: Any) -> bool:
         return self.get(cell) is not None
 
     def __len__(self) -> int:
-        """Number of (well-formed or not) cell addresses currently stored
-        (a cell both packed and loose counts once)."""
-        loose = {os.path.basename(path)[:-5] for path in self._entry_files()}
-        return len(loose | set(self._pack_entries()))
-
-    def _entry_files(self) -> Iterator[str]:
-        try:
-            names = sorted(os.listdir(self.path))
-        except FileNotFoundError:
-            return
-        for name in names:
-            if name.endswith(".json"):
-                yield os.path.join(self.path, name)
-
-    # -- packed tier ---------------------------------------------------
-
-    @property
-    def _segment_path(self) -> str:
-        return os.path.join(self.path, PACK_SEGMENT)
-
-    @property
-    def _index_path(self) -> str:
-        return os.path.join(self.path, PACK_INDEX)
-
-    def _pack_entries(self) -> Dict[str, Tuple[int, int]]:
-        """The segment's ``digest -> (offset, length)`` index, loaded
-        lazily on first use (stores that were never packed pay one
-        ``stat`` here, ever)."""
-        if self._pack is None:
-            self._pack = self._load_pack_index()
-        return self._pack
-
-    def _load_pack_index(self) -> Dict[str, Tuple[int, int]]:
-        if not os.path.exists(self._segment_path):
-            return {}
-        try:
-            with open(self._index_path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("version") != PACK_VERSION:
-                raise ValueError("unrecognized pack index version")
-            return {
-                str(digest): (int(entry[0]), int(entry[1]))
-                for digest, entry in payload["entries"].items()
-            }
-        except (OSError, ValueError, KeyError, TypeError, IndexError):
-            # The sidecar is derived state: rebuild it from the segment
-            # (and re-persist the healed copy).
-            return self._rebuild_pack_index()
-
-    def _rebuild_pack_index(self) -> Dict[str, Tuple[int, int]]:
-        """Scan the segment line-by-line and re-derive the offset index.
-
-        Unparseable lines are skipped (their cells read as misses and
-        heal through reruns); the healed sidecar is written back so the
-        scan happens once, not per process.
-        """
-        entries: Dict[str, Tuple[int, int]] = {}
-        offset = 0
-        try:
-            with open(self._segment_path, "rb") as handle:
-                for line in handle:
-                    length = len(line)
-                    body = line.rstrip(b"\n")
-                    if len(body) > 65 and body[64:65] == b" ":
-                        digest = body[:64].decode("ascii", "replace")
-                        if _HEX64.fullmatch(digest):
-                            entries[digest] = (offset + 65, len(body) - 65)
-                    offset += length
-        except OSError:
-            return {}
-        try:
-            self._write_pack_index(entries)
-        except OSError:  # read-only store: serve the in-memory rebuild
-            pass
-        return entries
-
-    def _write_pack_index(self, entries: Dict[str, Tuple[int, int]]) -> None:
-        """Atomically (re)write the index sidecar."""
-        payload = {
-            "version": PACK_VERSION,
-            "entries": {
-                digest: [offset, length]
-                for digest, (offset, length) in sorted(entries.items())
-            },
-        }
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=self.path, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                json.dump(payload, handle)
-            os.replace(handle.name, self._index_path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-
-    def _read_packed(self, digest: str) -> Optional[str]:
-        """The packed payload text under ``digest``, or ``None``."""
-        location = self._pack_entries().get(digest)
-        if location is None:
-            return None
-        offset, length = location
-        try:
-            with open(self._segment_path, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read(length)
-            if len(data) != length:
-                return None
-            return data.decode("utf-8")
-        except (OSError, UnicodeDecodeError, ValueError):
-            return None
-
-    def pack(self) -> PackStats:
-        """Fold the loose live entries into the packed segment.
-
-        Appends each live loose payload as one segment line, commits
-        the updated index sidecar, and only then removes the folded
-        loose files — a crash mid-pack leaves duplicates (packed and
-        loose, identical bytes), never losses. Stale/corrupt loose
-        files stay behind for :meth:`prune`; loose entries already in
-        the segment are removed without re-appending (content
-        addressing: same name, same bytes). Idempotent — repacking a
-        packed store is a no-op.
-        """
-        stats = PackStats()
-        index = dict(self._pack_entries())
-        to_append: List[Tuple[str, str]] = []
-        folded: List[str] = []
-        for path in list(self._entry_files()):
-            digest = os.path.basename(path)[:-5]
-            state, _ = self._classify_entry(path)
-            if state != "live":
-                stats.skipped += 1
-                continue
-            if digest in index:
-                stats.duplicate += 1
-                folded.append(path)
-                continue
-            to_append.append((digest, path))
-        if to_append:
-            with open(self._segment_path, "ab") as segment:
-                offset = segment.tell()
-                for digest, path in to_append:
-                    try:
-                        with open(path, encoding="utf-8") as handle:
-                            # Re-serialize: the segment is line-oriented,
-                            # so the payload must hold no raw newlines
-                            # (put() writes single-line JSON already).
-                            data = json.dumps(json.load(handle)).encode("utf-8")
-                    except (OSError, ValueError):
-                        stats.skipped += 1  # raced away or went corrupt
-                        continue
-                    segment.write(digest.encode("ascii") + b" " + data + b"\n")
-                    index[digest] = (offset + 65, len(data))
-                    offset += 65 + len(data) + 1
-                    folded.append(path)
-                    stats.packed += 1
-                segment.flush()
-                os.fsync(segment.fileno())
-            self._write_pack_index(index)
-        self._pack = index
-        for path in folded:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-        return stats
-
-    def _compact_pack(self, drop: set) -> None:
-        """Rewrite the segment without the ``drop`` digests (prune path)."""
-        keep = [d for d in sorted(self._pack_entries()) if d not in drop]
-        entries: Dict[str, Tuple[int, int]] = {}
-        handle = tempfile.NamedTemporaryFile(
-            "wb", dir=self.path, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                offset = 0
-                for digest in keep:
-                    text = self._read_packed(digest)
-                    if text is None:
-                        continue  # unreadable record: drop it too
-                    data = text.encode("utf-8")
-                    handle.write(digest.encode("ascii") + b" " + data + b"\n")
-                    entries[digest] = (offset + 65, len(data))
-                    offset += 65 + len(data) + 1
-            if entries:
-                os.replace(handle.name, self._segment_path)
-                self._write_pack_index(entries)
-            else:
-                os.unlink(handle.name)
-                for path in (self._segment_path, self._index_path):
-                    try:
-                        os.unlink(path)
-                    except FileNotFoundError:
-                        pass
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-        self._pack = entries
+        """Number of (well-formed or not) rows currently stored."""
+        return self._db().execute("SELECT COUNT(*) FROM results").fetchone()[0]
 
     # -- reads ---------------------------------------------------------
 
-    def _payload_texts(self, digest: str) -> Iterator[str]:
-        """Candidate payload texts under one address: the packed record
-        first (an in-memory index hit beats a file open), then the
-        loose file — which is how a rerun's rewrite heals a corrupt
-        packed record."""
-        packed = self._read_packed(digest)
-        if packed is not None:
-            yield packed
-        try:
-            with open(
-                os.path.join(self.path, digest + ".json"), encoding="utf-8"
-            ) as handle:
-                yield handle.read()
-        except OSError:
-            return
+    def read_ahead(self, digests: Iterable[str]) -> None:
+        """Announce the digests the next :meth:`get` calls ask for, in
+        order. Each ``get`` that finds no fetched row then reads the
+        next :data:`READ_AHEAD_BLOCK` announced digests in one query,
+        so a resume scan costs one query per block instead of one per
+        cell. Memory stays at one block."""
+        self._queue = iter(digests)
+        self._ahead = {}
+
+    def _fetch(self, digest: str) -> Optional[Tuple[Any, Any, Any]]:
+        """The ``(kind, schema_version, result)`` columns under
+        ``digest``, fetching the next read-ahead block with it."""
+        row = self._ahead.pop(digest, False)
+        if row is not False:
+            return row
+        block = [digest]
+        for upcoming in self._queue:
+            if upcoming != digest:
+                block.append(upcoming)
+            if len(block) == READ_AHEAD_BLOCK:
+                break
+        self._ahead = dict.fromkeys(block)
+        marks = ",".join("?" * len(block))
+        for found, *columns in self._db().execute(
+            "SELECT digest, kind, schema_version, result FROM results "
+            f"WHERE digest IN ({marks})",
+            block,
+        ):
+            self._ahead[found] = tuple(columns)
+        return self._ahead.pop(digest)
 
     def get(self, cell: Any, digest: Optional[str] = None) -> Optional[Any]:
         """The stored result of ``cell``, or ``None`` on any miss.
 
-        A miss is: no entry, unreadable/corrupt JSON, a kind or
-        schema-version mismatch inside the payload, or a result record
-        that fails to deserialize. Every miss is recoverable — the
-        engine reruns the cell and :meth:`put` rewrites the entry.
-        Packed and loose tiers are both consulted (packed first).
-        ``digest`` short-circuits the address computation when the
-        caller already holds :func:`cell_digest` of the cell (the
-        engine computes it once per cell — fingerprinting a trace
-        workload stats its files).
+        A miss is: no row, a kind or schema-version mismatch in the
+        row, or a result that fails to parse or deserialize. Every miss
+        is recoverable — the engine reruns the cell and :meth:`put`
+        rewrites the row. ``digest`` short-circuits the address
+        computation when the caller already holds :func:`cell_digest`
+        of the cell (the engine computes it once per cell —
+        fingerprinting a trace workload stats its files).
         """
         info = EVALUATIONS.get(cell.kind)
         if digest is None:
             digest = cell_digest(cell)
-        for text in self._payload_texts(digest):
-            try:
-                payload = json.loads(text)
-                if payload.get("kind") != cell.kind:
-                    continue
-                if payload.get("schema_version") != info.schema_version:
-                    continue
-                return info.result_from_dict(payload["result"])
-            except (ValueError, KeyError, TypeError):
-                continue
-        return None
-
-    @staticmethod
-    def _classify_payload(text: Optional[str]) -> Tuple[str, Any]:
-        """``(state, detail)`` of one payload text (``None`` = unreadable).
-
-        States: ``live`` (well-formed; detail is the ``(kind, version)``
-        bucket), ``stale`` (well-formed but unreadable by the current
-        registrations — unknown kind, old schema version, or a result
-        record the kind's deserializer rejects), ``corrupt``
-        (unparseable JSON or a payload missing the envelope fields).
-        Reads already treat stale and corrupt entries as silent misses;
-        this makes them visible to ``repro store ls`` / ``prune``.
-        """
+        row = self._fetch(digest)
+        if row is None or row[0] != cell.kind or row[1] != info.schema_version:
+            return None
         try:
-            if text is None:
-                raise ValueError("unreadable")
-            payload = json.loads(text)
-            kind = payload["kind"]
-            version = payload["schema_version"]
-            result = payload["result"]
+            return info.result_from_dict(json.loads(row[2]))
         except (ValueError, KeyError, TypeError):
-            return "corrupt", "unreadable or truncated payload"
-        if kind not in EVALUATIONS:
-            return "stale", f"unknown evaluation kind {kind!r}"
-        info = EVALUATIONS.get(kind)
-        if version != info.schema_version:
-            return (
-                "stale",
-                f"{kind} schema v{version} (current v{info.schema_version})",
-            )
-        try:
-            info.result_from_dict(result)
-        except Exception:
-            return "stale", f"{kind} result fails to deserialize"
-        return "live", (kind, version)
+            return None
 
-    def _classify_entry(self, path: str) -> Tuple[str, Any]:
-        """``(state, detail)`` of one loose entry file."""
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text: Optional[str] = handle.read()
-        except OSError:
-            text = None
-        return self._classify_payload(text)
-
-    def _entry_payloads(self) -> Iterator[Tuple[str, str, Optional[str]]]:
-        """``(digest, label, text)`` of every entry, both tiers.
-
-        Loose files come first (``text=None`` when unreadable), then
-        packed records whose digest no loose file shadows. ``label`` is
-        a display path: the file path for loose entries,
-        ``<store>/pack.seg#<digest>`` for packed ones.
-        """
-        loose = set()
-        for path in self._entry_files():
-            digest = os.path.basename(path)[:-5]
-            loose.add(digest)
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    text: Optional[str] = handle.read()
-            except OSError:
-                text = None
-            yield digest, path, text
-        for digest in sorted(self._pack_entries()):
-            if digest in loose:
-                continue
-            label = os.path.join(self.path, f"{PACK_SEGMENT}#{digest}")
-            yield digest, label, self._read_packed(digest)
-
-    def inventory(self) -> StoreInventory:
-        """Scan every entry (loose and packed): per-kind live counts
-        plus prunable entries."""
+    def _scan(self, db: Any) -> StoreInventory:
         report = StoreInventory()
-        for _, label, text in self._entry_payloads():
-            state, detail = self._classify_payload(text)
+        for digest, kind, version, result in db.execute(
+            "SELECT digest, kind, schema_version, result FROM results "
+            "ORDER BY digest"
+        ).fetchall():
+            state, detail = _classify(kind, version, result)
             if state == "live":
                 report.live[detail] = report.live.get(detail, 0) + 1
             elif state == "stale":
-                report.stale.append((label, detail))
+                report.stale.append((digest, detail))
             else:
-                report.corrupt.append((label, detail))
+                report.corrupt.append((digest, detail))
         return report
 
+    def inventory(self) -> StoreInventory:
+        """Scan every row: per-kind live counts plus prunable rows."""
+        return self._scan(self._db())
+
     def prune(self, dry_run: bool = False) -> List[Tuple[str, str]]:
-        """Delete stale/corrupt entries (the silent misses); returns
-        ``(path, reason)`` per removed — or, with ``dry_run``, per
-        would-be-removed — entry. Live entries are never touched.
-        Packed victims (labels of the form ``pack.seg#<digest>``) are
-        removed by compacting the segment in one rewrite."""
-        removals = self.inventory().prunable
-        if not dry_run:
-            marker = PACK_SEGMENT + "#"
-            drop = set()
-            for path, _ in removals:
-                name = os.path.basename(path)
-                if name.startswith(marker):
-                    drop.add(name[len(marker):])
-                    continue
-                try:
-                    os.unlink(path)
-                except FileNotFoundError:
-                    pass  # concurrent prune; the entry is gone either way
-            if drop:
-                self._compact_pack(drop)
+        """Delete stale/corrupt rows (the silent misses); returns
+        ``(digest, reason)`` per removed — or, with ``dry_run``, per
+        would-be-removed — row. Live rows are never touched: the scan
+        and the deletes share one write transaction."""
+        if dry_run:
+            return self.inventory().prunable
+        with self._write() as db:
+            removals = self._scan(db).prunable
+            db.executemany(
+                "DELETE FROM results WHERE digest = ?",
+                [(digest,) for digest, _ in removals],
+            )
         return removals
 
-    @staticmethod
-    def _record_digest(record: Dict[str, Any]) -> str:
-        """SHA-256 of a payload's ``cell`` record, store-canonicalized.
-
-        The store writes payloads whose ``cell`` record is the
-        fingerprint-carrying :func:`cell_key` the entry is addressed
-        under, canonicalized exactly like :func:`key_digest`; a JSON
-        round-trip preserves that encoding bit-for-bit, so this digest
-        equals the entry's filename stem for every entry the current
-        :meth:`put` wrote — trace workloads included.
-        """
-        return key_digest(record)
+    # -- writes --------------------------------------------------------
 
     def merge_from(self, source: str) -> MergeStats:
-        """Adopt another store's entries (loose and packed) into this
-        store.
+        """Adopt another store's entries into this store.
 
-        The multi-host collection primitive: a coordinator merges each
-        worker's store after its shard completes. Adoption is per-cell
-        atomic (temp file + ``os.replace``, like :meth:`put`) and
-        idempotent — an entry this store already holds, loose or
-        packed, is left alone (both sides computed the same
-        deterministic cell), so merging the same source twice, or two
-        workers that shared a directory, changes nothing. Adopted
-        entries land loose regardless of the source tier; ``pack``
-        folds them when asked.
+        ``source`` is a store directory (read through ``ATTACH``) or a
+        pre-sqlite directory of loose ``<digest>.json`` files and
+        ``pack.seg`` lines (``repro store import``). The multi-host
+        collection primitive: a coordinator merges each worker's store
+        after its shard completes. Adoption is one transaction and
+        idempotent — a row this store already holds is left alone (both
+        sides computed the same deterministic cell), so merging the
+        same source twice changes nothing.
 
-        Entries are **digest-verified** before adoption: the payload's
-        ``cell`` record must hash back to the entry's address, so a
-        renamed or tampered file from a remote host cannot poison the
-        coordinator's store. The payload carries the same
+        Entries are **digest-verified** before adoption: the entry's
+        ``cell`` record must hash back to its address, so a renamed or
+        tampered entry from a remote host cannot poison the
+        coordinator's store. The record carries the same
         fingerprint-bearing key the address was derived from, so
         trace-workload entries verify like any other; entries written
         before the payload carried the fingerprint fail the check and
@@ -699,42 +577,80 @@ class ResultStore:
             same = os.path.samefile(source, self.path)
         except OSError:
             same = False
-        source_store = ResultStore(source)
-        for name, _, text in source_store._entry_payloads():
-            if same:
+        if same:
+            stats.present = len(self)
+            return stats
+        db = self._db()
+        database = os.path.join(source, STORE_FILE)
+        if os.path.exists(database):
+            rows = self._attached_rows(database)
+        else:
+            rows = list(_legacy_rows(source))
+        adopted: Dict[str, Row] = {}
+        for row in rows:
+            digest, kind, version, cell, result = row
+            if digest in adopted or db.execute(
+                "SELECT 1 FROM results WHERE digest = ?", (digest,)
+            ).fetchone():
                 stats.present += 1
-                continue
-            destination = os.path.join(self.path, name + ".json")
-            if os.path.exists(destination) or name in self._pack_entries():
-                stats.present += 1
-                continue
-            state, _ = self._classify_payload(text)
-            if state != "live":
+            elif _classify(kind, version, result)[0] != "live":
                 stats.rejected += 1
-                continue
-            payload = json.loads(text)
-            if self._record_digest(payload.get("cell", {})) != name:
+            elif not isinstance(cell, str) or _text_digest(cell) != digest:
                 stats.unverified += 1
-                continue
-            handle = tempfile.NamedTemporaryFile(
-                "w",
-                encoding="utf-8",
-                dir=self.path,
-                suffix=".tmp",
-                delete=False,
+            else:
+                adopted[digest] = row
+        with self._write() as db:
+            db.executemany(
+                "INSERT OR IGNORE INTO results VALUES (?, ?, ?, ?, ?)",
+                adopted.values(),
             )
-            try:
-                with handle:
-                    handle.write(text)
-                os.replace(handle.name, destination)
-            except BaseException:
-                try:
-                    os.unlink(handle.name)
-                except OSError:
-                    pass
-                raise
-            stats.adopted += 1
+        stats.adopted = len(adopted)
         return stats
+
+    def _attached_rows(self, database: str) -> List[Row]:
+        import sqlite3
+
+        db = self._db()
+        try:
+            db.execute("ATTACH DATABASE ? AS source", (database,))
+            try:
+                return db.execute(
+                    "SELECT digest, kind, schema_version, cell, result "
+                    "FROM source.results ORDER BY digest"
+                ).fetchall()
+            finally:
+                db.execute("DETACH DATABASE source")
+        except sqlite3.DatabaseError as error:
+            raise StoreError(
+                f"{database}: not a usable result store ({error})"
+            ) from None
+
+    @staticmethod
+    def _row(
+        cell: Any,
+        result: Any,
+        digest: Optional[str] = None,
+        key: Optional[Dict[str, Any]] = None,
+    ) -> Row:
+        info = EVALUATIONS.get(cell.kind)
+        if key is None:
+            key = cell_key(cell)
+        if digest is None:
+            digest = key_digest(key)
+        return (
+            digest,
+            cell.kind,
+            info.schema_version,
+            _canonical(key),
+            json.dumps(info.result_to_dict(result)),
+        )
+
+    def _insert(self, rows: List[Row]) -> List[str]:
+        with self._write() as db:
+            db.executemany(
+                "INSERT OR REPLACE INTO results VALUES (?, ?, ?, ?, ?)", rows
+            )
+        return [row[0] for row in rows]
 
     def put(
         self,
@@ -743,61 +659,31 @@ class ResultStore:
         digest: Optional[str] = None,
         key: Optional[Dict[str, Any]] = None,
     ) -> str:
-        """Persist ``cell``'s result atomically; returns the entry path.
+        """Persist ``cell``'s result in one transaction; returns its digest.
 
         ``key``/``digest`` reuse a precomputed :func:`cell_key` /
         :func:`key_digest` pair (the engine computes both once per cell
         at plan time — fingerprinting a trace workload stats its
         files). When omitted they are computed here, from one
-        :func:`cell_key` call. The payload records the same
+        :func:`cell_key` call. The row records the same
         fingerprint-carrying key the address is derived from, which is
-        what makes every entry digest-verifiable by
-        :meth:`merge_from` — including trace-workload cells.
+        what makes every row digest-verifiable by :meth:`merge_from` —
+        including trace-workload cells. An existing row under the
+        digest (a corrupt or stale one, on a rerun) is replaced.
         """
-        info = EVALUATIONS.get(cell.kind)
-        if key is None:
-            key = cell_key(cell)
-        if digest is None:
-            digest = key_digest(key)
-        payload = {
-            "kind": cell.kind,
-            "schema_version": info.schema_version,
-            "cell": key,
-            "result": info.result_to_dict(result),
-        }
-        path = self._cell_path(cell, digest)
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            encoding="utf-8",
-            dir=self.path,
-            suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                json.dump(payload, handle)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-        return path
+        return self._insert([self._row(cell, result, digest, key)])[0]
 
     def put_many(
         self,
         entries: Sequence[Tuple[Any, Any, Optional[str], Optional[Dict[str, Any]]]],
     ) -> List[str]:
-        """Persist a batch of ``(cell, result, digest, key)`` records.
+        """Persist a batch of ``(cell, result, digest, key)`` records in
+        one transaction; returns their digests.
 
         The per-chunk store transaction: the grid coordinator calls
         this once per completed chunk instead of once per cell, so a
-        chunk's results commit together (each entry individually
-        atomic, in order — a crash mid-batch persists a prefix, which
-        resume semantics already tolerate).
+        chunk's results commit together — or, when the write fails
+        (a full disk), not at all, and ``--resume`` recomputes the
+        chunk.
         """
-        return [
-            self.put(cell, result, digest=digest, key=key)
-            for cell, result, digest, key in entries
-        ]
+        return self._insert([self._row(*entry) for entry in entries])

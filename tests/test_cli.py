@@ -1,12 +1,28 @@
 """Tests for the command-line interface."""
 
 import os
+import re
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.registry import MITIGATIONS, TRACKERS
 from repro.sim.simulator import default_engine
+from repro.sim.store import STORE_FILE
+
+#: A pre-sqlite store: storage cells at TRH 4800/2400 packed into
+#: pack.seg + pack.idx, and the TRH 1200 pair as loose JSON files.
+LEGACY_FIXTURE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "fixtures", "legacy_store"
+)
+
+
+def query(store_dir, sql, *args):
+    with closing(sqlite3.connect(os.path.join(store_dir, STORE_FILE))) as db:
+        with db:
+            return db.execute(sql, args).fetchall()
 
 
 class TestParser:
@@ -259,24 +275,28 @@ class TestCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == serial
 
-    def test_store_pack_cli(self, capsys, tmp_path):
-        """grid -> store pack -> --resume serves everything from the
-        segment; store ls stays accurate on the packed store."""
+    def test_store_import_cli(self, capsys, tmp_path):
+        """store import adopts the committed pre-sqlite fixture (packed
+        and loose entries) without touching it; --resume then serves
+        every cell, store ls accounts for each row, and a repeat
+        import adopts nothing."""
+        legacy = sorted(os.listdir(LEGACY_FIXTURE))
         store = str(tmp_path / "store")
-        argv = ["storage", "--trh", "4800", "1200", "--store", store]
-        assert main(argv) == 0
-        assert "executed 4, reused 0" in capsys.readouterr().out
-        assert main(["store", "pack", store]) == 0
+        argv = ["storage", "--trh", "4800", "2400", "1200", "--store"]
+        with pytest.raises(SystemExit, match="repro store import"):
+            main(argv + [LEGACY_FIXTURE, "--resume"])
+        assert main(["store", "import", LEGACY_FIXTURE, store]) == 0
         out = capsys.readouterr().out
-        assert "packed 4 entries" in out
-        assert sorted(os.listdir(store)) == ["pack.idx", "pack.seg"]
-        assert main(argv + ["--resume"]) == 0
-        assert "executed 0, reused 4" in capsys.readouterr().out
+        assert "imported 6 entries (0 already present, 0 unverified, " \
+               "0 rejected)" in out
+        assert main(argv + [store, "--resume"]) == 0
+        assert "executed 0, reused 6" in capsys.readouterr().out
         assert main(["store", "ls", store]) == 0
         out = capsys.readouterr().out
-        assert "total 4 entries: 4 live, 0 stale, 0 corrupt" in out
-        assert main(["store", "pack", store]) == 0
-        assert "packed 0 entries" in capsys.readouterr().out
+        assert "total 6 entries: 6 live, 0 stale, 0 corrupt" in out
+        assert main(["store", "import", LEGACY_FIXTURE, store]) == 0
+        assert "imported 0 entries (6 already present" in capsys.readouterr().out
+        assert sorted(os.listdir(LEGACY_FIXTURE)) == legacy
 
     def test_shard_flag_parsed_and_validated(self):
         args = build_parser().parse_args(["grid", "--shard", "1/4"])
@@ -374,6 +394,42 @@ class TestMultiHost:
         second = capsys.readouterr().out
         assert "store: executed 0, reused 2 of 2 cells" in second
 
+    def test_remote_store_collected_over_ssh(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """--remote-store on a path the coordinator cannot see: the shim
+        maps @REMOTE@ to a directory only the "remote" side uses, so
+        collection streams the remote sqlite store over ssh + tar and
+        must adopt every remote cell."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        monkeypatch.setenv("PYTHONPATH", src)
+        remote_root = tmp_path / "remote-host"
+        monkeypatch.setenv("FAKE_REMOTE_ROOT", str(remote_root))
+        monkeypatch.chdir(tmp_path)
+        shim = tmp_path / "fakessh"
+        shim.write_text(
+            '#!/bin/sh\nshift\nexec /bin/sh -c "$(printf \'%s\' "$1" '
+            '| sed "s|@REMOTE@|$FAKE_REMOTE_ROOT|g")"\n'
+        )
+        shim.chmod(0o755)
+        store = str(tmp_path / "store")
+        argv = self.GRID + ["--store", store]
+        assert main(argv + [
+            "--hosts", "localhost,localhost", "--ssh", str(shim),
+            "--remote-store", "@REMOTE@/store",
+        ]) == 0
+        first = capsys.readouterr().out
+        assert "store: executed 2, reused 0 of 2 cells" in first
+        assert (remote_root / "store" / STORE_FILE).exists()
+        adopted = re.findall(r"collected store: adopted (\d+)", first)
+        assert sum(int(count) for count in adopted) == 2
+        assert main(argv + ["--resume"]) == 0
+        second = capsys.readouterr().out
+        assert "store: executed 0, reused 2 of 2 cells" in second
+
 
 class TestReportCommand:
     def test_parser_registers_report_and_store(self):
@@ -467,24 +523,23 @@ class TestStoreCommand:
         assert "storage" in out and "v1" in out
         assert "total 6 entries: 6 live, 0 stale, 0 corrupt" in out
         assert "prune" not in out  # nothing to clean, no hint
-        # Corrupt one entry; ls flags it, prune --dry-run keeps it.
-        victim = os.path.join(
-            store, sorted(os.listdir(store))[0]
-        )
-        with open(victim, "w", encoding="utf-8") as handle:
-            handle.write("{ nope")
+        # Corrupt one row; ls flags it, prune --dry-run keeps it.
+        [(victim,)] = query(store, "SELECT MIN(digest) FROM results")
+        query(store, "UPDATE results SET result = '{ nope' WHERE digest = ?",
+              victim)
+        victim_rows = "SELECT digest FROM results WHERE digest = ?"
         assert main(["store", "ls", store, "--verbose"]) == 0
         out = capsys.readouterr().out
         assert "5 live, 0 stale, 1 corrupt" in out
-        assert "unreadable or truncated payload" in out
+        assert f"{victim}: unreadable or truncated payload" in out
         assert "repro store prune" in out
         assert main(["store", "prune", store, "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "would remove 1 entries" in out
-        assert os.path.exists(victim)
+        assert query(store, victim_rows, victim)
         assert main(["store", "prune", store]) == 0
         out = capsys.readouterr().out
         assert "removed 1 entries" in out
-        assert not os.path.exists(victim)
+        assert not query(store, victim_rows, victim)
         assert main(["store", "ls", store]) == 0
         assert "5 live, 0 stale, 0 corrupt" in capsys.readouterr().out

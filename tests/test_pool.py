@@ -8,8 +8,10 @@ store collection) is exercised end-to-end without real remote hosts.
 
 import dataclasses
 import os
+import sqlite3
 import sys
 import time
+from contextlib import closing
 from typing import ClassVar
 
 import pytest
@@ -28,6 +30,7 @@ from repro.sim import (
     run_grid,
 )
 from repro.sim.pool import remote_command
+from repro.sim.store import STORE_FILE
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -95,10 +98,14 @@ def remote_env(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", SRC_DIR)
 
 
-def entry_files(store_dir):
-    return sorted(
-        name for name in os.listdir(str(store_dir)) if name.endswith(".json")
-    )
+def stored_rows(store_dir):
+    path = os.path.join(str(store_dir), STORE_FILE)
+    with closing(sqlite3.connect(path)) as db:
+        return db.execute("SELECT * FROM results ORDER BY digest").fetchall()
+
+
+def entry_digests(store_dir):
+    return [row[0] for row in stored_rows(store_dir)]
 
 
 # Module-level (picklable) pieces for failure-path tests: a kind whose
@@ -257,7 +264,7 @@ class TestFailurePaths:
         # Plan order is [ok, boom, also-ok]: only the first cell forms
         # a completed prefix; also-ok completed but is never reported.
         assert seen == [(1, 3)]
-        assert len(entry_files(store_dir)) == 2
+        assert len(entry_digests(store_dir)) == 2
         # The resume recomputes exactly the failed cell.
         ok_only = dataclasses.replace(
             flaky_kind, mitigations=["ok", "also-ok"]
@@ -277,7 +284,7 @@ class TestFailurePaths:
         store_dir = tmp_path / "store"
         with pytest.raises(KeyboardInterrupt):
             run_grid(spec, max_workers=2, store=str(store_dir))
-        assert len(entry_files(store_dir)) == 2
+        assert len(entry_digests(store_dir)) == 2
         ok_only = dataclasses.replace(spec, mitigations=["ok", "also-ok"])
         resumed = run_grid(ok_only, max_workers=1, store=str(store_dir))
         assert resumed.run_stats.executed == 0
@@ -294,7 +301,7 @@ class TestFailurePaths:
         store_dir = tmp_path / "store"
         with pytest.raises(KeyboardInterrupt):
             run_grid(spec, store=str(store_dir), pool=ProcessPool(1))
-        assert entry_files(store_dir) == []
+        assert entry_digests(store_dir) == []
 
 
 class TestWorkerFaults:
@@ -423,7 +430,7 @@ class TestSshPool:
         # the "dead" host left behind.
         assert sum(h.executed for h in stats.values()) == 0
         assert stats["good"].reused == 2
-        assert entry_files(local_dir) == entry_files(remote_dir)
+        assert entry_digests(local_dir) == entry_digests(remote_dir)
         assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
 
     def test_tar_collection_without_shared_fs(self, tmp_path, remote_env):
@@ -432,12 +439,18 @@ class TestSshPool:
         shim = write_shim(tmp_path, GOOD_SSH)
         remote_dir = tmp_path / "remote"
         local_dir = tmp_path / "local"
+        lines = []
         pool = SshPool(
             ["localhost"], remote_argv(remote_dir), str(remote_dir),
-            ssh=[shim], echo=quiet, shared_fs=False,
+            ssh=[shim], echo=lambda label, line: lines.append(line),
+            shared_fs=False,
         )
         results = run_grid(SPEC, store=str(local_dir), pool=pool)
-        assert len(entry_files(local_dir)) == 2
+        assert len(entry_digests(local_dir)) == 2
+        # Both cells arrived through the tarball: none was recomputed
+        # locally (no "local" pseudo-host).
+        assert "collected store: adopted 2, already had 0, skipped 0" in lines
+        assert [h.label for h in results.run_stats.hosts] == ["localhost"]
         assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
 
     def test_all_hosts_dead_raises(self, tmp_path, remote_env):
@@ -646,10 +659,7 @@ class TestChunking:
             runs[label] = run_grid(
                 spec, store=str(store_dir), pool=pool
             ).to_json()
-            stores[label] = {
-                name: (store_dir / name).read_text()
-                for name in entry_files(store_dir)
-            }
+            stores[label] = stored_rows(store_dir)
         assert runs["chunked"] == runs["serial"]
         assert stores["chunked"] == stores["serial"]
 
@@ -668,7 +678,7 @@ class TestChunking:
             # One worker, unit costs: the whole [ok, boom, also-ok] plan
             # lands in a single chunk.
             run_grid(flaky_kind, store=str(store_dir), pool=ProcessPool(1))
-        assert len(entry_files(store_dir)) == 1
+        assert len(entry_digests(store_dir)) == 1
         ok_only = dataclasses.replace(
             flaky_kind, mitigations=["ok", "also-ok"]
         )
@@ -689,7 +699,7 @@ class TestChunking:
             run_grid(spec, store=str(store_dir), pool=ProcessPool(1))
         # Single chunk [ok, boom, also-ok]: ok completed before the
         # interrupt and must survive; the rest resumes later.
-        assert len(entry_files(store_dir)) == 1
+        assert len(entry_digests(store_dir)) == 1
         ok_only = dataclasses.replace(spec, mitigations=["ok", "also-ok"])
         resumed = run_grid(ok_only, max_workers=1, store=str(store_dir))
         assert resumed.run_stats.reused == 1

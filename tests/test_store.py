@@ -2,7 +2,12 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import sqlite3
+import subprocess
+import sys
+from contextlib import closing
 from typing import ClassVar
 
 import pytest
@@ -20,6 +25,8 @@ from repro.sim import (
     run_grid,
     shard_of,
 )
+from repro.sim.pool import Pool
+from repro.sim.store import STORE_FILE, StoreError
 
 STORAGE = ExperimentSpec(
     kind="storage",
@@ -60,10 +67,56 @@ def run_flaky_cell(cell):
                        cell.params)
 
 
-def entry_files(store_dir):
-    return sorted(
-        name for name in os.listdir(str(store_dir)) if name.endswith(".json")
-    )
+def query(store_dir, sql, *args):
+    """Run one statement on the store's database file; returns its rows."""
+    with closing(sqlite3.connect(os.path.join(str(store_dir), STORE_FILE))) as db:
+        with db:
+            return db.execute(sql, args).fetchall()
+
+
+def entry_digests(store_dir):
+    return [d for (d,) in query(store_dir, "SELECT digest FROM results ORDER BY digest")]
+
+
+def set_column(store_dir, digest, column, value):
+    """Overwrite one column of one row (fault injection)."""
+    query(store_dir, f"UPDATE results SET {column} = ? WHERE digest = ?", value, digest)
+
+
+def drop_rows(store_dir, digests):
+    for digest in digests:
+        query(store_dir, "DELETE FROM results WHERE digest = ?", digest)
+
+
+def write_legacy(store_dir, legacy_dir, packed=(), loose=(), index=True):
+    """Write rows of a sqlite store in the pre-sqlite layout: ``loose``
+    digests as ``<digest>.json`` files, ``packed`` ones as ``pack.seg``
+    lines plus the ``pack.idx`` offset sidecar."""
+    os.makedirs(str(legacy_dir), exist_ok=True)
+    payloads = {
+        digest: json.dumps({
+            "kind": kind, "schema_version": version,
+            "cell": json.loads(cell), "result": json.loads(result),
+        })
+        for digest, kind, version, cell, result in query(
+            store_dir, "SELECT * FROM results"
+        )
+    }
+    for digest in loose:
+        with open(os.path.join(str(legacy_dir), digest + ".json"), "w") as handle:
+            handle.write(payloads[digest])
+    if not packed:
+        return
+    entries, offset = {}, 0
+    with open(os.path.join(str(legacy_dir), "pack.seg"), "wb") as segment:
+        for digest in packed:
+            data = payloads[digest].encode()
+            segment.write(digest.encode() + b" " + data + b"\n")
+            entries[digest] = [offset + 65, len(data)]
+            offset += 65 + len(data) + 1
+    if index:
+        with open(os.path.join(str(legacy_dir), "pack.idx"), "w") as handle:
+            json.dump({"version": 1, "entries": entries}, handle)
 
 
 class TestDigest:
@@ -188,9 +241,9 @@ class TestSharding:
         ]
         assert sum(len(p) for p in parts) == len(full)
         merged = parts[0].merge(*parts[1:])
-        assert {cell_digest(c) for c in plan_cells(STORAGE)} == {
-            name[: -len(".json")] for name in entry_files(store)
-        }
+        assert {cell_digest(c) for c in plan_cells(STORAGE)} == set(
+            entry_digests(store)
+        )
         # A final resume pass collects everything without executing.
         collected = run_grid(STORAGE, max_workers=1, store=store)
         assert collected.run_stats.executed == 0
@@ -229,9 +282,8 @@ class TestResultStore:
         store_dir = tmp_path / "store"
         run_grid(STORAGE, max_workers=1, store=str(store_dir))
         # Simulate the kill: drop some completed cells from the store.
-        killed = entry_files(store_dir)[::2]
-        for name in killed:
-            os.unlink(str(store_dir / name))
+        killed = entry_digests(store_dir)[::2]
+        drop_rows(store_dir, killed)
 
         executed = []
         original = experiment._run_cell
@@ -242,34 +294,34 @@ class TestResultStore:
 
         monkeypatch.setattr(experiment, "_run_cell", counting)
         resumed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
-        assert sorted(executed) == sorted(n[: -len(".json")] for n in killed)
+        assert sorted(executed) == sorted(killed)
         assert resumed.run_stats.executed == len(killed)
         assert resumed.to_json() == uninterrupted.to_json()
 
     def test_corrupt_entry_is_a_miss_and_heals(self, tmp_path):
         store_dir = tmp_path / "store"
         first = run_grid(STORAGE, max_workers=1, store=str(store_dir))
-        victim = str(store_dir / entry_files(store_dir)[0])
-        with open(victim, "w", encoding="utf-8") as handle:
-            handle.write('{"kind": "storage", truncated')
+        victim = entry_digests(store_dir)[0]
+        set_column(store_dir, victim, "result", '{"trh": 4800, truncated')
         healed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
         assert healed.run_stats.executed == 1
         assert healed.to_json() == first.to_json()
-        # The rewritten entry parses again.
-        with open(victim, encoding="utf-8") as handle:
-            assert json.load(handle)["kind"] == "storage"
+        # The rewritten row parses again.
+        [(kind, result)] = query(
+            store_dir, "SELECT kind, result FROM results WHERE digest = ?", victim
+        )
+        assert kind == "storage"
+        json.loads(result)
 
     def test_schema_version_mismatch_is_a_miss(self, tmp_path):
         store_dir = tmp_path / "store"
-        run_grid(STORAGE, max_workers=1, store=str(store_dir))
-        victim = str(store_dir / entry_files(store_dir)[0])
-        with open(victim, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["schema_version"] = 999
-        with open(victim, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        first = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        set_column(store_dir, entry_digests(store_dir)[0], "schema_version", 999)
         rerun = run_grid(STORAGE, max_workers=1, store=str(store_dir))
         assert rerun.run_stats.executed == 1
+        assert rerun.to_json() == first.to_json()
+        healed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        assert healed.run_stats.executed == 0
 
     def test_parallel_run_persists_every_cell(self, tmp_path):
         """Parallel execution writes each result as it completes (not in
@@ -277,7 +329,7 @@ class TestResultStore:
         returned set still equals the serial run bit-for-bit."""
         store_dir = tmp_path / "store"
         parallel = run_grid(STORAGE, max_workers=2, store=str(store_dir))
-        assert len(entry_files(store_dir)) == len(parallel)
+        assert len(entry_digests(store_dir)) == len(parallel)
         assert parallel.to_json() == run_grid(STORAGE, max_workers=1).to_json()
 
     def test_parallel_failure_still_persists_completed_cells(self, tmp_path):
@@ -299,7 +351,7 @@ class TestResultStore:
             store_dir = tmp_path / "store"
             with pytest.raises(RuntimeError, match="boom"):
                 run_grid(spec, max_workers=2, store=str(store_dir))
-            assert len(entry_files(store_dir)) == 2
+            assert len(entry_digests(store_dir)) == 2
         finally:
             EVALUATIONS.remove("flaky-kind")
 
@@ -328,7 +380,7 @@ class TestResultStore:
         assert reused.normalized_table() == fresh.normalized_table()
         # Kill simulation on the perf grid itself: drop one completed
         # cell; the resume executes exactly it and stays bit-identical.
-        os.unlink(str(store_dir / entry_files(store_dir)[0]))
+        drop_rows(store_dir, entry_digests(store_dir)[:1])
         resumed = run_grid(PERF, max_workers=1, store=store)
         assert resumed.run_stats.executed == 1
         assert resumed.run_stats.reused == 1
@@ -366,7 +418,7 @@ class TestMergeFrom:
         assert (stats.adopted, stats.present) == (6, 0)
         assert (stats.unverified, stats.rejected) == (0, 0)
         assert stats.total == 6
-        assert entry_files(tmp_path / "dest") == entry_files(source)
+        assert entry_digests(tmp_path / "dest") == entry_digests(source)
         again = dest.merge_from(str(source))
         assert (again.adopted, again.present) == (0, 6)
         # Adopted entries serve resumes bit-identically.
@@ -379,30 +431,25 @@ class TestMergeFrom:
         source = self.fill_source(tmp_path)
         stats = ResultStore(str(source)).merge_from(str(source))
         assert (stats.adopted, stats.present) == (0, 6)
-        assert len(entry_files(source)) == 6
+        assert len(entry_digests(source)) == 6
 
     def test_renamed_entry_is_not_adopted(self, tmp_path):
-        """An entry whose payload does not hash back to its filename
+        """An entry whose cell record does not hash back to its digest
         (renamed, tampered) must not poison the destination."""
         source = self.fill_source(tmp_path)
-        victim = entry_files(source)[0]
-        bogus = "0" * 64 + ".json"
-        os.rename(str(source / victim), str(source / bogus))
+        victim = entry_digests(source)[0]
+        bogus = "0" * 64
+        set_column(source, victim, "digest", bogus)
         dest = ResultStore(str(tmp_path / "dest"))
         stats = dest.merge_from(str(source))
         assert (stats.adopted, stats.unverified) == (5, 1)
-        assert bogus not in entry_files(tmp_path / "dest")
+        assert bogus not in entry_digests(tmp_path / "dest")
 
     def test_corrupt_and_stale_entries_rejected(self, tmp_path):
         source = self.fill_source(tmp_path)
-        names = entry_files(source)
-        with open(str(source / names[0]), "w", encoding="utf-8") as handle:
-            handle.write("{ truncated")
-        with open(str(source / names[1]), encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["schema_version"] = 999
-        with open(str(source / names[1]), "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        names = entry_digests(source)
+        set_column(source, names[0], "result", "{ truncated")
+        set_column(source, names[1], "schema_version", 999)
         dest = ResultStore(str(tmp_path / "dest"))
         stats = dest.merge_from(str(source))
         assert (stats.adopted, stats.rejected) == (4, 2)
@@ -433,7 +480,7 @@ class TestMergeFrom:
         run_grid(spec, max_workers=1, store=str(source))
         dest = ResultStore(str(tmp_path / "dest"))
         stats = dest.merge_from(str(source))
-        assert stats.adopted == len(entry_files(source))
+        assert stats.adopted == len(entry_digests(source))
         assert stats.unverified == 0
         resumed = run_grid(spec, max_workers=1, store=dest)
         assert resumed.run_stats.executed == 0
@@ -444,9 +491,8 @@ class TestMergeFrom:
         verification and is left behind."""
         source = tmp_path / "source"
         run_grid(STORAGE, max_workers=1, store=str(source))
-        names = entry_files(source)
-        bogus = "0" * 64 + ".json"
-        os.rename(str(source / names[0]), str(source / bogus))
+        names = entry_digests(source)
+        set_column(source, names[0], "digest", "0" * 64)
         dest = ResultStore(str(tmp_path / "dest"))
         stats = dest.merge_from(str(source))
         assert stats.unverified == 1
@@ -462,21 +508,16 @@ class TestInventoryAndPrune:
         return store_dir, ResultStore(str(store_dir))
 
     def corrupt_one(self, store_dir, index=0):
-        victim = str(store_dir / entry_files(store_dir)[index])
-        with open(victim, "w", encoding="utf-8") as handle:
-            handle.write("{ truncated")
+        victim = entry_digests(store_dir)[index]
+        set_column(store_dir, victim, "result", "{ truncated")
         return victim
 
     def stale_one(self, store_dir, index=1, kind=None, version=999):
-        victim = str(store_dir / entry_files(store_dir)[index])
-        with open(victim, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        victim = entry_digests(store_dir)[index]
         if kind is not None:
-            payload["kind"] = kind
+            set_column(store_dir, victim, "kind", kind)
         else:
-            payload["schema_version"] = version
-        with open(victim, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            set_column(store_dir, victim, "schema_version", version)
         return victim
 
     def test_inventory_counts_live_per_kind(self, tmp_path):
@@ -500,14 +541,14 @@ class TestInventoryAndPrune:
         assert "current v1" in stale[old]
         assert "unknown evaluation kind" in stale[alien]
         assert report.total == 6
-        assert {path for path, _ in report.prunable} == {bad, old, alien}
+        assert {digest for digest, _ in report.prunable} == {bad, old, alien}
 
     def test_prune_dry_run_keeps_files(self, tmp_path):
         store_dir, store = self.fill(tmp_path)
         bad = self.corrupt_one(store_dir)
         removals = store.prune(dry_run=True)
-        assert [path for path, _ in removals] == [bad]
-        assert os.path.exists(bad)
+        assert [digest for digest, _ in removals] == [bad]
+        assert bad in entry_digests(store_dir)
         assert len(store) == 6
 
     def test_prune_removes_only_dead_entries(self, tmp_path):
@@ -515,9 +556,9 @@ class TestInventoryAndPrune:
         bad = self.corrupt_one(store_dir)
         old = self.stale_one(store_dir, index=1)
         removed = store.prune()
-        assert {path for path, _ in removed} == {bad, old}
-        assert not os.path.exists(bad)
-        assert not os.path.exists(old)
+        assert {digest for digest, _ in removed} == {bad, old}
+        assert bad not in entry_digests(store_dir)
+        assert old not in entry_digests(store_dir)
         assert len(store) == 4
         assert store.inventory().live == {("storage", 1): 4}
         # The grid heals the pruned cells and nothing else.
@@ -531,145 +572,424 @@ class TestInventoryAndPrune:
         assert store.inventory().total == 0
 
 
-class TestPackedTier:
-    """The append-only segment: fold, read-through, heal, compact."""
 
-    def fill(self, tmp_path):
+
+class TestPackedTier:
+    """The pre-sqlite packed tier (``pack.seg`` lines plus the
+    ``pack.idx`` sidecar, next to loose ``<digest>.json`` files): read
+    only by :meth:`ResultStore.merge_from` (``repro store import``)."""
+
+    def fill(self, tmp_path, spec=STORAGE):
         store_dir = tmp_path / "store"
-        run_grid(STORAGE, max_workers=1, store=str(store_dir))
-        return store_dir, ResultStore(str(store_dir))
+        run_grid(spec, max_workers=1, store=str(store_dir))
+        return store_dir, entry_digests(store_dir)
 
     def test_pack_round_trip_and_resume(self, tmp_path):
-        store_dir, store = self.fill(tmp_path)
-        count = len(store)
-        stats = store.pack()
-        assert stats.packed == count
-        assert stats.folded == count
-        assert entry_files(store_dir) == []
-        assert (store_dir / "pack.seg").exists()
-        assert (store_dir / "pack.idx").exists()
-        # A fresh instance (lazy index load) serves the whole grid.
-        resumed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        store_dir, digests = self.fill(tmp_path)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, packed=digests)
+        before = sorted(os.listdir(str(legacy)))
+        dest = ResultStore(str(tmp_path / "dest"))
+        stats = dest.merge_from(str(legacy))
+        assert (stats.adopted, stats.unverified, stats.rejected) == (6, 0, 0)
+        # The import only reads the legacy directory.
+        assert sorted(os.listdir(str(legacy))) == before == ["pack.idx", "pack.seg"]
+        resumed = run_grid(STORAGE, max_workers=1, store=dest)
         assert resumed.run_stats.executed == 0
-        assert resumed.run_stats.reused == count
-        assert len(ResultStore(str(store_dir))) == count
+        assert resumed.run_stats.reused == 6
+        assert len(dest) == 6
+        assert resumed.to_json() == run_grid(STORAGE, max_workers=1).to_json()
 
     def test_pack_is_idempotent(self, tmp_path):
-        _, store = self.fill(tmp_path)
-        store.pack()
-        again = store.pack()
-        assert again.packed == 0
-        assert again.folded == 0
+        store_dir, digests = self.fill(tmp_path)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, packed=digests)
+        dest = ResultStore(str(tmp_path / "dest"))
+        dest.merge_from(str(legacy))
+        again = dest.merge_from(str(legacy))
+        assert (again.adopted, again.present) == (0, 6)
+        assert len(dest) == 6
 
     def test_packed_and_loose_mix_serves_and_repacks(self, tmp_path):
-        """New results land loose next to the segment; a second pack
-        folds them in (duplicates are just dropped)."""
-        store_dir, store = self.fill(tmp_path)
-        store.pack()
-        wider = dataclasses.replace(
-            STORAGE, grid={"trh": [4800, 2400, 1200, 600]}
-        )
-        grown = run_grid(wider, max_workers=1, store=str(store_dir))
-        assert grown.run_stats.executed == 2
-        assert grown.run_stats.reused == 6
-        assert len(entry_files(store_dir)) == 2
-        stats = store.pack()
-        assert stats.packed == 2
-        assert entry_files(store_dir) == []
-        resumed = run_grid(wider, max_workers=1, store=str(store_dir))
+        """A loose file shadows the packed record under its digest (the
+        old tier's rerun wrote a healed cell loose): the import adopts
+        the loose copy and counts the garbled packed one as present."""
+        store_dir, digests = self.fill(tmp_path)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, packed=digests, loose=digests[:1])
+        segment = legacy / "pack.seg"
+        lines = segment.read_bytes().splitlines(keepends=True)
+        lines[0] = lines[0][:65] + b"x" * (len(lines[0]) - 66) + b"\n"
+        segment.write_bytes(b"".join(lines))
+        dest = ResultStore(str(tmp_path / "dest"))
+        stats = dest.merge_from(str(legacy))
+        assert (stats.adopted, stats.present, stats.rejected) == (6, 1, 0)
+        resumed = run_grid(STORAGE, max_workers=1, store=dest)
         assert resumed.run_stats.executed == 0
 
     def test_corrupt_index_is_rebuilt_from_segment(self, tmp_path):
-        store_dir, store = self.fill(tmp_path)
-        store.pack()
-        (store_dir / "pack.idx").write_text("{ not json")
-        fresh = ResultStore(str(store_dir))
-        resumed = run_grid(STORAGE, max_workers=1, store=fresh)
+        """The reader derives every address from the segment lines, so
+        a corrupt sidecar loses nothing."""
+        store_dir, digests = self.fill(tmp_path)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, packed=digests)
+        (legacy / "pack.idx").write_text("{ not json")
+        dest = ResultStore(str(tmp_path / "dest"))
+        assert dest.merge_from(str(legacy)).adopted == 6
+        resumed = run_grid(STORAGE, max_workers=1, store=dest)
         assert resumed.run_stats.executed == 0
-        # The rebuild healed the sidecar on disk.
-        healed = json.loads((store_dir / "pack.idx").read_text())
-        assert len(healed["entries"]) == 6
 
     def test_missing_index_is_rebuilt_from_segment(self, tmp_path):
-        store_dir, store = self.fill(tmp_path)
-        store.pack()
-        os.unlink(str(store_dir / "pack.idx"))
-        resumed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        store_dir, digests = self.fill(tmp_path)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, packed=digests, index=False)
+        dest = ResultStore(str(tmp_path / "dest"))
+        assert dest.merge_from(str(legacy)).adopted == 6
+        resumed = run_grid(STORAGE, max_workers=1, store=dest)
         assert resumed.run_stats.executed == 0
 
     def test_corrupt_segment_record_heals_through_rerun(self, tmp_path):
-        store_dir, store = self.fill(tmp_path)
-        store.pack()
+        store_dir, digests = self.fill(tmp_path)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, packed=digests)
         # Garble one record's payload in place (same line length).
-        data = (store_dir / "pack.seg").read_bytes().splitlines(keepends=True)
-        line = data[0]
-        data[0] = line[:65] + b"x" * (len(line) - 66) + b"\n"
-        (store_dir / "pack.seg").write_bytes(b"".join(data))
-        rerun = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        segment = legacy / "pack.seg"
+        lines = segment.read_bytes().splitlines(keepends=True)
+        lines[0] = lines[0][:65] + b"x" * (len(lines[0]) - 66) + b"\n"
+        segment.write_bytes(b"".join(lines))
+        dest = ResultStore(str(tmp_path / "dest"))
+        stats = dest.merge_from(str(legacy))
+        assert (stats.adopted, stats.rejected) == (5, 1)
+        rerun = run_grid(STORAGE, max_workers=1, store=dest)
         assert rerun.run_stats.executed == 1
         assert rerun.run_stats.reused == 5
-        # The rewrite landed loose and shadows the corrupt record.
-        assert len(entry_files(store_dir)) == 1
-        healed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        healed = run_grid(STORAGE, max_workers=1, store=dest)
         assert healed.run_stats.executed == 0
 
     def test_inventory_and_prune_are_pack_aware(self, tmp_path):
-        store_dir, store = self.fill(tmp_path)
-        store.pack()
-        data = (store_dir / "pack.seg").read_bytes().splitlines(keepends=True)
-        line = data[0]
-        victim = line[:64].decode()
-        data[0] = line[:65] + b"x" * (len(line) - 66) + b"\n"
-        (store_dir / "pack.seg").write_bytes(b"".join(data))
-        store = ResultStore(str(store_dir))
-        inventory = store.inventory()
+        """A garbled packed record never enters the store, so the
+        imported store inventories clean and prune has nothing to do."""
+        store_dir, digests = self.fill(tmp_path)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, packed=digests)
+        segment = legacy / "pack.seg"
+        lines = segment.read_bytes().splitlines(keepends=True)
+        victim = lines[0][:64].decode()
+        lines[0] = lines[0][:65] + b"x" * (len(lines[0]) - 66) + b"\n"
+        segment.write_bytes(b"".join(lines))
+        dest = ResultStore(str(tmp_path / "dest"))
+        dest.merge_from(str(legacy))
+        inventory = dest.inventory()
         assert sum(inventory.live.values()) == 5
-        assert [os.path.basename(p) for p, _ in inventory.corrupt] == [
-            f"pack.seg#{victim}"
-        ]
-        removed = store.prune()
-        assert len(removed) == 1
-        # The segment was compacted: five live records remain, readable.
-        assert len(store) == 5
-        rerun = run_grid(STORAGE, max_workers=1, store=store)
+        assert inventory.prunable == []
+        assert dest.prune() == []
+        assert victim not in entry_digests(tmp_path / "dest")
+        rerun = run_grid(STORAGE, max_workers=1, store=dest)
         assert rerun.run_stats.executed == 1
         assert rerun.run_stats.reused == 5
 
     def test_merge_from_adopts_packed_sources(self, tmp_path):
-        """merge_from reads both tiers of the source; adoptions land
-        loose in the destination."""
-        store_dir, source = self.fill(tmp_path)
-        source.pack()
+        store_dir, digests = self.fill(tmp_path)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, packed=digests)
         dest = ResultStore(str(tmp_path / "dest"))
-        stats = dest.merge_from(str(store_dir))
+        stats = dest.merge_from(str(legacy))
         assert stats.adopted == 6
         assert stats.unverified == 0
         resumed = run_grid(STORAGE, max_workers=1, store=dest)
         assert resumed.run_stats.executed == 0
 
     def test_merge_from_sees_packed_destination_entries(self, tmp_path):
-        """An entry already packed in the destination counts as
-        present — no duplicate loose copy is written."""
-        store_dir, source = self.fill(tmp_path)
-        dest_dir = tmp_path / "dest"
-        dest = ResultStore(str(dest_dir))
-        dest.merge_from(str(store_dir))
-        dest.pack()
+        """Rows imported from a packed directory count as present when
+        the same cells arrive again from a sqlite store."""
+        store_dir, digests = self.fill(tmp_path)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, packed=digests)
+        dest = ResultStore(str(tmp_path / "dest"))
+        dest.merge_from(str(legacy))
         stats = dest.merge_from(str(store_dir))
         assert stats.present == 6
         assert stats.adopted == 0
-        assert entry_files(dest_dir) == []
+        assert len(dest) == 6
 
     def test_mixed_source_merge(self, tmp_path):
         """A source with both packed and loose entries merges whole."""
-        store_dir, source = self.fill(tmp_path)
-        source.pack()
         wider = dataclasses.replace(
             STORAGE, grid={"trh": [4800, 2400, 1200, 600]}
         )
-        run_grid(wider, max_workers=1, store=str(store_dir))
+        store_dir, digests = self.fill(tmp_path, wider)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, packed=digests[:6], loose=digests[6:])
         dest = ResultStore(str(tmp_path / "dest"))
-        stats = dest.merge_from(str(store_dir))
+        stats = dest.merge_from(str(legacy))
         assert stats.adopted == 8
         resumed = run_grid(wider, max_workers=1, store=dest)
         assert resumed.run_stats.executed == 0
+
+    def test_legacy_directory_is_not_opened_as_a_store(self, tmp_path):
+        """Pointing --store at a pre-sqlite directory would silently
+        recompute everything; it raises, naming the import command."""
+        store_dir, digests = self.fill(tmp_path)
+        legacy = tmp_path / "legacy"
+        write_legacy(store_dir, legacy, loose=digests)
+        with pytest.raises(StoreError, match="repro store import"):
+            run_grid(STORAGE, max_workers=1, store=str(legacy))
+        assert not (legacy / STORE_FILE).exists()
+
+
+class ChunkedSerialPool(Pool):
+    """Runs cells in-process and files them three at a time through
+    ``record_all`` — the process pool's one ``put_many`` per chunk,
+    deterministically."""
+
+    name = "chunked-serial"
+
+    def run(self, task):
+        for start in range(0, len(task.pending), 3):
+            chunk = task.pending[start:start + 3]
+            task.record_all([
+                (position, task.run_cell(cell)) for position, cell in chunk
+            ])
+
+
+class FullDisk:
+    """A connection whose bulk insert writes two rows, then fails the
+    way a full disk does."""
+
+    def __init__(self, db):
+        self._db = db
+
+    def __getattr__(self, name):
+        return getattr(self._db, name)
+
+    def executemany(self, sql, rows):
+        self._db.executemany(sql, list(rows)[:2])
+        raise sqlite3.OperationalError("database or disk is full")
+
+
+def fill_grid(spec, store):
+    """Fork target: one serial grid run into ``store``."""
+    run_grid(spec, max_workers=1, store=store)
+
+
+def put_around_parent_close(store, entries, opened, closed):
+    """Fork target: put half of ``entries``, let the parent close its
+    connection, then put the rest."""
+    half = len(entries) // 2
+    for cell, result in entries[:half]:
+        store.put(cell, result)
+    opened.set()
+    closed.wait(60)
+    for cell, result in entries[half:]:
+        store.put(cell, result)
+
+
+def security_spec(trhs):
+    return ExperimentSpec(
+        kind="security",
+        mitigations=["rrs", "srs"],
+        base_params=SecurityParams(rounds=64, iterations=0),
+        grid={"trh": trhs, "swap_rate": [2.0 + 0.5 * i for i in range(20)]},
+    )
+
+
+class TestStoreFaults:
+    """Fault injection: every case leaves no corrupt read behind, and a
+    rerun finishes bit-identically to an uninterrupted run."""
+
+    def test_full_disk_put_many_commits_none_of_its_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        uninterrupted = run_grid(STORAGE, max_workers=1)
+        store_dir = tmp_path / "store"
+        store = ResultStore(str(store_dir))
+        real_db, real_put_many = store._db, store.put_many
+        chunks = []
+
+        def put_many(entries):
+            chunks.append(sorted(digest for _, _, digest, _ in entries))
+            full = len(chunks) == 2
+            store._db = (lambda: FullDisk(real_db())) if full else real_db
+            return real_put_many(entries)
+
+        monkeypatch.setattr(store, "put_many", put_many)
+        with pytest.raises(sqlite3.OperationalError, match="disk is full"):
+            run_grid(STORAGE, store=store, pool=ChunkedSerialPool())
+        assert len(chunks) == 2
+        # The first chunk committed; none of the second did, although
+        # two of its rows were written before the failure.
+        assert entry_digests(store_dir) == chunks[0]
+        executed = []
+        original = experiment._run_cell
+
+        def counting(cell):
+            executed.append(cell_digest(cell))
+            return original(cell)
+
+        monkeypatch.setattr(experiment, "_run_cell", counting)
+        resumed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        assert sorted(executed) == chunks[1]
+        assert resumed.to_json() == uninterrupted.to_json()
+
+    def test_interrupted_merge_adopts_nothing(self, tmp_path, monkeypatch):
+        """A merge that fails mid-insert commits none of its rows; the
+        rerun adopts the whole source."""
+        source = tmp_path / "source"
+        run_grid(STORAGE, max_workers=1, store=str(source))
+        dest = ResultStore(str(tmp_path / "dest"))
+        real_db = dest._db
+        monkeypatch.setattr(dest, "_db", lambda: FullDisk(real_db()))
+        with pytest.raises(sqlite3.OperationalError, match="disk is full"):
+            dest.merge_from(str(source))
+        monkeypatch.setattr(dest, "_db", real_db)
+        assert len(dest) == 0
+        stats = dest.merge_from(str(source))
+        assert (stats.adopted, stats.present) == (6, 0)
+        resumed = run_grid(STORAGE, max_workers=1, store=dest)
+        assert resumed.run_stats.executed == 0
+        assert resumed.to_json() == run_grid(STORAGE, max_workers=1).to_json()
+
+    def test_non_database_file_raises_naming_it(self, tmp_path):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        bogus = store_dir / STORE_FILE
+        junk = b"not a result store " * 256
+        bogus.write_bytes(junk)
+        with pytest.raises(StoreError, match=str(bogus)):
+            run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        with pytest.raises(StoreError, match=str(bogus)):
+            ResultStore(str(tmp_path / "dest")).merge_from(str(store_dir))
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match=str(bogus)):
+            main(["store", "ls", str(store_dir)])
+        # Never silently emptied or rewritten.
+        assert bogus.read_bytes() == junk
+
+    def test_processes_fill_one_store_concurrently(self, tmp_path):
+        """Overlapping grids written at once into one store by more
+        processes than a 2-CPU host has cores, through a store object
+        the parent opened before forking: nothing lost, nothing
+        corrupt, and the resume matches a serial run."""
+        store = ResultStore(str(tmp_path / "store"))
+        assert len(store) == 0  # the parent's connection is open
+        context = multiprocessing.get_context("fork")
+        workers = [
+            context.Process(target=fill_grid, args=(security_spec(trhs), store))
+            for trhs in ([1200, 1600, 2000, 2400], [2000, 2400, 2800, 3200],
+                         [2800, 3200, 1200, 1600])
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(120)
+        assert [worker.exitcode for worker in workers] == [0, 0, 0]
+        union = security_spec([1200, 1600, 2000, 2400, 2800, 3200])
+        inventory = store.inventory()
+        assert sum(inventory.live.values()) == len(plan_cells(union)) == 240
+        assert inventory.prunable == []
+        resumed = run_grid(union, max_workers=1, store=store)
+        assert resumed.run_stats.executed == 0
+        assert resumed.to_json() == run_grid(union, max_workers=1).to_json()
+
+    def test_parent_close_while_children_write_loses_nothing(self, tmp_path):
+        """The fork rule: a child inherits no sqlite state, so the
+        parent closing its connection mid-run (it could otherwise take
+        itself for the last user and delete the WAL) loses no row the
+        children commit afterwards."""
+        spec = security_spec([1200, 1600])
+        entries = list(zip(plan_cells(spec), run_grid(spec, max_workers=1)))
+        store = ResultStore(str(tmp_path / "store"))
+        assert len(store) == 0  # the parent's connection is open
+        context = multiprocessing.get_context("fork")
+        closed = context.Event()
+        opened = [context.Event() for _ in range(2)]
+        workers = [
+            context.Process(
+                target=put_around_parent_close,
+                args=(store, entries[i::2], opened[i], closed),
+            )
+            for i in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        assert all(event.wait(60) for event in opened)
+        store.close()
+        closed.set()
+        for worker in workers:
+            worker.join(60)
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        assert sum(store.inventory().live.values()) == len(entries) == 80
+        resumed = run_grid(spec, max_workers=1, store=store)
+        assert resumed.run_stats.executed == 0
+
+    def test_inherited_handle_is_never_used(self, tmp_path):
+        """A child that inherits an open handle (pid differs) opens its
+        own and leaves the parent's untouched."""
+        store = ResultStore(str(tmp_path / "store"))
+        len(store)
+        inherited = store._conn
+        store._pid = -1  # as seen from a forked child
+        assert len(store) == 0
+        assert store._conn is not inherited
+        inherited.execute("SELECT 1")  # still open
+
+    def test_store_less_grid_never_imports_sqlite3(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            experiment.__file__)))
+        code = (
+            "import sys, repro.cli, repro.report\n"
+            "from repro.sim import ExperimentSpec, run_grid\n"
+            "run_grid(ExperimentSpec(kind='storage', mitigations=['rrs'],"
+            " grid={'trh': [4800]}), max_workers=1)\n"
+            "print('sqlite3' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": os.path.dirname(src)},
+        )
+        assert out.stdout.strip() == "False"
+
+
+class TestReadAhead:
+    """The resume scan's block reads: one query per block, same answers
+    as point lookups."""
+
+    def test_resume_reads_one_query_per_block(self, tmp_path, monkeypatch):
+        import repro.sim.store as store_module
+
+        monkeypatch.setattr(store_module, "READ_AHEAD_BLOCK", 4)
+        store_dir = str(tmp_path / "store")
+        first = run_grid(STORAGE, max_workers=1, store=store_dir)
+        store = ResultStore(store_dir)
+        real_db = store._db
+        statements = []
+
+        class Counting:
+            def __init__(self, db):
+                self._db = db
+
+            def execute(self, sql, *args):
+                statements.append(sql)
+                return self._db.execute(sql, *args)
+
+        monkeypatch.setattr(store, "_db", lambda: Counting(real_db()))
+        resumed = run_grid(STORAGE, max_workers=1, store=store)
+        assert resumed.run_stats.executed == 0
+        assert resumed.to_json() == first.to_json()
+        assert len(statements) == 2  # 6 cells in blocks of 4
+
+    def test_block_reads_serve_hits_misses_and_fresh_writes(self, tmp_path):
+        cells = plan_cells(STORAGE)
+        results = run_grid(STORAGE, max_workers=1).results
+        store = ResultStore(str(tmp_path / "store"))
+        for cell, result in zip(cells[:3], results[:3]):
+            store.put(cell, result)
+        store.read_ahead(cell_digest(cell) for cell in cells)
+        assert store.get(cells[5]) is None  # out of order: reads the block
+        assert [store.get(cell) for cell in cells[:3]] == results[:3]
+        # cells[3] was fetched as a miss with the block; a write since
+        # is never masked by that buffered miss.
+        store.put(cells[3], results[3])
+        assert store.get(cells[3]) == results[3]
+        assert store.get(cells[4]) is None

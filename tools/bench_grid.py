@@ -29,7 +29,10 @@ A second, *analytical* section times a high-cardinality security grid
 (hundreds of microsecond-scale closed-form cells) serially and under
 chunked pool dispatch — the chunk scheduler's target case — printing
 the greppable ``chunked cells/sec:`` line and asserting the chunked
-run matches the serial reference bit-identically.
+run matches the serial reference bit-identically. Its with-store leg
+runs the same grid serially into a fresh result store (``store-cold``)
+and resumes it from the filled store (``store-warm``, which must
+execute zero cells), against the serial no-store run as the baseline.
 """
 
 from __future__ import annotations
@@ -120,26 +123,36 @@ def build_analytical_spec(quick: bool) -> ExperimentSpec:
 
 
 def run_analytical_mode(
-    spec: ExperimentSpec, mode: str, workers: int, repeats: int
+    spec: ExperimentSpec, mode: str, workers: int, repeats: int, scratch: str
 ) -> Dict[str, Any]:
-    """Time the analytical grid in one dispatch mode, best of ``repeats``.
+    """Time the analytical grid in one mode, best of ``repeats``.
 
-    Modes: ``serial`` (the in-process reference the pooled mode must
-    match bit-identically) and ``chunked`` (pooled, cost-budgeted
-    chunks).
+    Modes: ``serial`` (the in-process, no-store reference every other
+    mode must match bit-identically), ``chunked`` (pooled,
+    cost-budgeted chunks), ``store-cold`` (serial, into a fresh result
+    store per repeat) and ``store-warm`` (serial resume from the store
+    the first ``store-cold`` repeat filled).
     """
     best = float("inf")
     results = None
-    for _ in range(repeats):
-        pool = SerialPool() if mode == "serial" else ProcessPool(workers)
+    for repeat in range(repeats):
+        pool = ProcessPool(workers) if mode == "chunked" else SerialPool()
+        store = None
+        if mode == "store-cold":
+            store = os.path.join(scratch, f"store-{repeat}")
+        elif mode == "store-warm":
+            store = os.path.join(scratch, "store-0")
         started = time.perf_counter()
-        results = run_grid(spec, pool=pool)
+        results = run_grid(spec, pool=pool, store=store)
         best = min(best, time.perf_counter() - started)
     stats = results.run_stats
+    if mode == "store-warm" and stats.executed:
+        raise AssertionError(f"warm resume executed {stats.executed} cells")
     return {
         "mode": mode,
         "seconds": round(best, 4),
         "cells": stats.planned,
+        "executed": stats.executed,
         "chunks": stats.chunks,
         "cells_per_second": round(stats.planned / best, 3),
         "_json": results.to_json(),
@@ -147,39 +160,55 @@ def run_analytical_mode(
 
 
 def run_analytical_benchmark(quick: bool, repeats: int) -> Dict[str, Any]:
-    """The analytical section: serial vs chunked pooled dispatch."""
+    """The analytical section: serial vs chunked pooled dispatch, and
+    the serial grid into a cold store and resumed from a warm one."""
     spec = build_analytical_spec(quick)
     spec.validate()
     workers = min(4, available_cpu_count())
-    modes = [
-        run_analytical_mode(spec, mode, workers, repeats)
-        for mode in ("serial", "chunked")
-    ]
-    serial, chunked = modes
-    if chunked.pop("_json") != serial.pop("_json"):
-        raise AssertionError(
-            "chunked analytical run changed results — bit-identity violated"
-        )
+    with tempfile.TemporaryDirectory(prefix="bench-grid-store-") as scratch:
+        modes = [
+            run_analytical_mode(spec, mode, workers, repeats, scratch)
+            for mode in ("serial", "chunked", "store-cold", "store-warm")
+        ]
+    serial, chunked, cold, warm = modes
+    reference = serial.pop("_json")
+    for mode in modes[1:]:
+        if mode.pop("_json") != reference:
+            raise AssertionError(
+                f"analytical {mode['mode']} run changed results — "
+                "bit-identity violated"
+            )
     speedup = round(
         chunked["cells_per_second"] / serial["cells_per_second"], 3
     )
+    store_cost = {
+        name: round(mode["seconds"] / serial["seconds"], 3)
+        for name, mode in (("cold_over_no_store", cold),
+                           ("warm_over_no_store", warm))
+    }
     for mode in modes:
         chunk_note = (
             f"  ({mode['chunks']} chunks)" if mode["chunks"] is not None else ""
         )
         print(
-            f"analytical {mode['mode']:<9s}{mode['cells']} cells in "
+            f"analytical {mode['mode']:<11s}{mode['cells']} cells in "
             f"{mode['seconds']:.3f}s  {mode['cells_per_second']:>10.2f} "
             f"cells/s{chunk_note}"
         )
     # Greppable by the CI grid-throughput-smoke job.
     print(f"chunked cells/sec: {chunked['cells_per_second']:.2f}")
     print(f"analytical chunked/serial speedup: {speedup:.2f}x")
+    print(
+        f"analytical store time / no-store time: cold "
+        f"{store_cost['cold_over_no_store']:.2f}x, warm resume "
+        f"{store_cost['warm_over_no_store']:.2f}x"
+    )
     return {
         "cells": serial["cells"],
         "workers": workers,
         "modes": modes,
         "chunked_speedup": speedup,
+        "store": store_cost,
     }
 
 
