@@ -39,9 +39,10 @@ network filesystem), ``--resume`` reuses stored cells bit-identically
 (rerun a killed grid and only the missing cells execute), and
 ``--shard i/n`` runs one digest-stable slice of the grid — ``n`` such
 runs against one store cover the grid exactly once (see
-:mod:`repro.sim.store`). ``grid --hosts user@h1,user@h2`` fans those
-shards out over plain ``ssh`` and merges the remote stores back into
-``--store`` (see :mod:`repro.sim.pool`).
+:mod:`repro.sim.store`). To span machines, run one shard per machine
+into its own store, copy each store directory back, and ``store
+import`` every copy into one store; a ``--resume`` over it then
+executes 0 cells.
 
 ``report`` sits on top of the same engine: every registered figure
 (:mod:`repro.report`) resolves its grids against ``--store`` and only
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shlex
 import sys
 from typing import List, Optional
 
@@ -68,9 +68,7 @@ from repro.sim import (
     ResultSet,
     SecurityParams,
     SimulationParams,
-    SshPool,
     StorageParams,
-    parse_hosts,
     parse_shard,
     record_workload,
     run_grid,
@@ -128,7 +126,6 @@ def _run_eval(
     spec: ExperimentSpec,
     args: argparse.Namespace,
     progress=None,
-    pool=None,
 ) -> ResultSet:
     """Run a spec through the engine with the shared store/shard flags.
 
@@ -137,8 +134,7 @@ def _run_eval(
     cells by the dozens per work unit, so high-cardinality storage /
     power / security grids parallelize instead of drowning in per-cell
     process dispatch (which is why these commands used to pin
-    ``--jobs 1``). ``pool`` overrides the execution backend
-    (``--hosts``).
+    ``--jobs 1``).
     """
     if getattr(args, "resume", False) and not getattr(args, "store", None):
         raise SystemExit("--resume needs --store")
@@ -150,7 +146,6 @@ def _run_eval(
         store=getattr(args, "store", None),
         reuse=bool(getattr(args, "resume", False)),
         shard=getattr(args, "shard", None),
-        pool=pool,
     )
 
 
@@ -159,8 +154,8 @@ def _report_store(results: ResultSet, args: argparse.Namespace) -> None:
 
     Also prints the workload plane's greppable accounting line
     (``workloads: generated N, decode hits K (trace hits M)``) whenever
-    the plane served a single-machine run — store or not. Runs the
-    plane never touched (analytical kinds) stay silent.
+    the plane served the run — store or not. Runs the plane never
+    touched (analytical kinds) stay silent.
     """
     stats = results.run_stats
     if stats is None:
@@ -169,14 +164,6 @@ def _report_store(results: ResultSet, args: argparse.Namespace) -> None:
         print(stats.workloads.line)
     if not getattr(args, "store", None):
         return
-    if stats.hosts:
-        for host in stats.hosts:
-            shards = ",".join(str(s) for s in host.shards) or "-"
-            state = "ok" if host.ok else "died"
-            print(
-                f"host {host.label}: executed {host.executed}, reused "
-                f"{host.reused} (shards {shards}, {state})"
-            )
     shard = f", shard {stats.shard[0]}/{stats.shard[1]}" if stats.shard else ""
     print(
         f"store: executed {stats.executed}, reused {stats.reused} of "
@@ -283,57 +270,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_remote_argv(args: argparse.Namespace, remote_store: str) -> List[str]:
-    """The ``repro grid`` command each ``--hosts`` worker replays.
-
-    Reproduces the coordinator's grid flags (so every host plans the
-    identical grid) against the remote store, always with ``--resume``
-    (reassigned shards skip what the dead host completed); the per-host
-    ``--shard i/N`` is appended by the pool."""
-    argv = [
-        sys.executable, "-m", "repro", "grid",
-        "--workloads", *args.workloads,
-        "--trh", *[str(trh) for trh in args.trh],
-        "--mitigations", *args.mitigations,
-        "--cores", str(args.cores),
-        "--requests", str(args.requests),
-        "--time-scale", str(args.time_scale),
-        "--tracker", args.tracker,
-        "--engine", args.engine,
-        "--store", remote_store,
-        "--resume",
-    ]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.verbose:
-        argv.append("--verbose")
-    return argv
-
-
-def _grid_pool(args: argparse.Namespace) -> Optional[SshPool]:
-    """The ``--hosts`` execution backend, or ``None`` for local runs."""
-    if not args.hosts:
-        return None
-    if args.shard:
-        raise SystemExit("--hosts drives sharding itself; drop --shard")
-    if not args.store:
-        raise SystemExit(
-            "--hosts needs --store (remote results are collected "
-            "through the result store)"
-        )
-    try:
-        hosts = parse_hosts(args.hosts)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"--hosts: {error}")
-    remote_store = args.remote_store or args.store
-    return SshPool(
-        hosts,
-        _grid_remote_argv(args, remote_store),
-        remote_store,
-        ssh=shlex.split(args.ssh) if args.ssh else None,
-    )
-
-
 def _cmd_grid(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         workloads=list(args.workloads),
@@ -345,7 +281,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         if args.verbose:
             print(f"[{done}/{total}] {result.summary()}")
 
-    results = _run_eval(spec, args, progress, pool=_grid_pool(args))
+    results = _run_eval(spec, args, progress)
     if args.shard:
         # A shard holds an arbitrary slice of the grid (its baselines
         # may live in other shards), so print raw cell summaries; the
@@ -745,19 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="export the result set as CSV")
     p.add_argument("--json", help="export the result set (with parameters) as JSON")
     p.add_argument("--verbose", action="store_true", help="per-cell progress")
-    p.add_argument("--hosts", metavar="HOSTS",
-                   help="fan the grid out over ssh hosts: a comma-separated "
-                        "user@host list, or @FILE with one host per line "
-                        "(needs --store; drives sharding itself)")
-    p.add_argument("--remote-store", metavar="DIR",
-                   help="store directory on the remote hosts, on their "
-                        "local disks (default: the --store path — right for "
-                        "localhost workers)")
-    p.add_argument("--ssh", metavar="CMD",
-                   default=os.environ.get("REPRO_SSH"),
-                   help="ssh command reaching the hosts (default: 'ssh -o "
-                        "BatchMode=yes', or $REPRO_SSH; point it at a shim "
-                        "for tests)")
     _add_sim_options(p, mitigation_names, tracker_names, ["rrs", "scale-srs"],
                      default_requests=12_000)
     _add_eval_options(p, jobs=False, export=False)

@@ -14,14 +14,12 @@ Resolution composes with everything the engine already does:
 - ``store``/``reuse`` make a repeated report incremental (the second
   run of ``repro report --all`` executes zero cells);
 - ``shard=(i, n)`` restricts execution to one digest-stable slice of
-  every figure's grid, so N processes sharing a store (or N hosts
-  whose stores are merged afterwards) split a full-paper
-  reproduction with no coordination (rendering needs the full grid,
-  so shard runs skip the analytic hook and artifacts — a final
-  unsharded pass reads everything back and emits them);
-- ``jobs`` fans cells out over the engine's process pool, and
-  ``pool`` swaps in any other execution backend — e.g. an
-  :class:`~repro.sim.pool.SshPool` spanning machines
+  every figure's grid, so N processes sharing a store (or N machines
+  whose stores are merged afterwards with ``repro store import``) split
+  a full-paper reproduction with no coordination (rendering needs the
+  full grid, so shard runs skip the analytic hook and artifacts — a
+  final unsharded pass reads everything back and emits them);
+- ``jobs`` fans cells out over the engine's process pool
   (:mod:`repro.sim.pool`).
 """
 
@@ -59,7 +57,6 @@ def resolve_figure(
     reuse: bool = True,
     shard: Optional[Tuple[int, int]] = None,
     progress: Optional[Callable[[int, int, object], None]] = None,
-    pool=None,
 ) -> FigureData:
     """Execute (only) the missing cells of a figure and collect its data.
 
@@ -68,15 +65,11 @@ def resolve_figure(
     computed ones are persisted the moment they complete. The returned
     :class:`FigureData` carries the merged result set, the analytic
     extras, and a summed :class:`~repro.sim.experiment.RunStats`
-    (``stats.executed == 0`` means the store served everything; the
-    per-host breakdown of a multi-host ``pool`` is not summed across
-    grids — read each grid's own stats for that).
+    (``stats.executed == 0`` means the store served everything).
 
     With ``shard`` the run covers one slice of each grid and skips the
     analytic hook (extras are cheap but per-process; the final
     unsharded pass recomputes them with the full grid in hand).
-    ``pool`` passes an explicit execution backend
-    (:class:`~repro.sim.pool.Pool`) to every grid.
     """
     if isinstance(store, str):
         store = ResultStore(store)
@@ -92,7 +85,6 @@ def resolve_figure(
             store=store,
             reuse=reuse,
             shard=shard,
-            pool=pool,
         )
         stats = results.run_stats
         planned += stats.planned
@@ -143,12 +135,10 @@ def reproduce_figure(
     config: Optional[ReportConfig] = None,
     store: Optional[Union[str, ResultStore]] = None,
     jobs: Optional[int] = None,
-    pool=None,
 ) -> Tuple[FigureData, Artifact]:
     """Build, resolve, and render one figure — the one-call form the
     benchmark tier uses (``data`` for assertions, ``artifact`` for the
-    human-readable reproduction). ``pool`` forwards an execution
-    backend to the figure's grids."""
+    human-readable reproduction)."""
     info, spec = build_figure(name, config)
-    data = resolve_figure(spec, store=store, jobs=jobs, pool=pool)
+    data = resolve_figure(spec, store=store, jobs=jobs)
     return data, render_figure(info, spec, data)

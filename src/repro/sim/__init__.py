@@ -22,7 +22,8 @@ engine (:mod:`repro.sim.evaluations`), and ``run_grid(store=...)``
 persists completed cells in a content-addressed
 :class:`~repro.sim.store.ResultStore` for resumable, shardable grids.
 Execution backends (:mod:`repro.sim.pool`) scale the same grids from a
-single process to a multi-host ``ssh`` fan-out without changing specs.
+single process to a local process pool without changing specs; shards
+run on several machines merge through their copied stores.
 """
 
 from repro.sim.engine import (
@@ -44,14 +45,11 @@ from repro.sim.experiment import (
     run_grid,
 )
 from repro.sim.pool import (
-    HostStats,
     Pool,
     PoolTask,
     ProcessPool,
     SerialPool,
-    SshPool,
     available_cpu_count,
-    parse_hosts,
 )
 from repro.sim.store import (
     MergeStats,
@@ -95,12 +93,9 @@ __all__ = [
     "run_grid",
     "Pool",
     "PoolTask",
-    "HostStats",
     "SerialPool",
     "ProcessPool",
-    "SshPool",
     "available_cpu_count",
-    "parse_hosts",
     "MergeStats",
     "ResultStore",
     "cell_digest",

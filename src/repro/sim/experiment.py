@@ -44,16 +44,17 @@ and the engine takes care of the rest:
   cell — a pure waste multiplier when every mitigation re-simulates
   its own baseline.
 - **Pluggable execution** delegates the pending cells to an execution
-  backend (:mod:`repro.sim.pool`): serial in-process, a local process
-  pool, or an ``ssh`` fan-out across machines — every cell carries its
-  full parameter record and seeds its own RNG streams, so results are
-  deterministic and independent of scheduling order and backend.
+  backend (:mod:`repro.sim.pool`): serial in-process or a local process
+  pool — every cell carries its full parameter record and seeds its own
+  RNG streams, so results are deterministic and independent of
+  scheduling order and backend.
 - **Persistence** (``run_grid(store=...)``): completed cells land in a
   content-addressed :class:`~repro.sim.store.ResultStore`, and already-
   stored cells are reused bit-identically — interrupted grids resume,
   repeated sweeps are incremental, and ``shard=(i, n)`` splits one grid
-  across processes sharing a store, or machines whose stores merge
-  (see :mod:`repro.sim.store`).
+  across processes sharing a store, or across machines whose copied
+  stores are merged with ``repro store import`` (see
+  :mod:`repro.sim.store`).
 - **Result sets** (:class:`ResultSet`) hold results of heterogeneous
   kinds, pair each ``perf`` result with its matching baseline for
   normalization, aggregate per-suite geometric means, merge with other
@@ -89,7 +90,6 @@ from repro.dram.commands import PagePolicy
 from repro.registry import EVALUATIONS, MITIGATIONS
 from repro.sim.engine import ENGINE_NAMES
 from repro.sim.pool import (
-    HostStats,
     Pool,
     PoolTask,
     ProcessPool,
@@ -407,25 +407,21 @@ class RunStats:
         executed: Cells actually computed this run.
         reused: Cells served bit-identically from the result store.
         shard: The ``(index, count)`` shard this run covered, if any.
-        hosts: Per-host accounting when a multi-host backend ran the
-            grid (see :class:`~repro.sim.pool.HostStats`); ``None``
-            for single-machine runs.
         workloads: Workload-plane accounting
             (:class:`~repro.workloads.plane.PlaneStats`: generated /
-            trace hits / decode hits) when a single-machine backend ran
-            the grid — summed from per-chunk worker deltas under
-            :class:`~repro.sim.pool.ProcessPool`; ``None`` for
-            multi-host runs and runs with nothing pending.
+            trace hits / decode hits) of the run — summed from
+            per-chunk worker deltas under
+            :class:`~repro.sim.pool.ProcessPool`; ``None`` for runs
+            with nothing pending.
         chunks: Dispatch chunks :class:`~repro.sim.pool.ProcessPool`
             submitted (see :func:`~repro.sim.pool.chunk_plan`);
-            ``None`` for serial and multi-host runs.
+            ``None`` for serial runs.
     """
 
     planned: int
     executed: int
     reused: int
     shard: Optional[Tuple[int, int]] = None
-    hosts: Optional[Tuple[HostStats, ...]] = None
     workloads: Optional[PlaneStats] = None
     chunks: Optional[int] = None
 
@@ -466,9 +462,8 @@ def run_grid(
             then be collected with a final ``--resume`` pass or
             :meth:`ResultSet.merge`.
         pool: An explicit execution backend
-            (:class:`~repro.sim.pool.Pool`) — e.g. an
-            :class:`~repro.sim.pool.SshPool` spanning several machines.
-            ``None`` picks :class:`~repro.sim.pool.SerialPool` or
+            (:class:`~repro.sim.pool.Pool`). ``None`` picks
+            :class:`~repro.sim.pool.SerialPool` or
             :class:`~repro.sim.pool.ProcessPool` from ``max_workers``.
 
     Results are deterministic: each cell derives every RNG stream from
@@ -517,56 +512,35 @@ def run_grid(
     by_position: Dict[int, Any] = dict(cached)
     reported = 0
 
-    def _absorb(position: int, result: Any) -> None:
-        """File one result and report the contiguous plan-order prefix."""
+    def _report() -> None:
+        """Report the contiguous plan-order prefix of filed results."""
         nonlocal reported
-        by_position[position] = result
         if progress is not None:
             while reported in by_position:
                 progress(reported + 1, len(jobs), by_position[reported])
                 reported += 1
 
-    def record(position: int, result: Any) -> None:
-        """Persist and file one computed result the moment it exists —
-        out-of-order completions reach the store immediately, so a
-        killed parallel run keeps everything that actually finished."""
-        if store is not None:
-            store.put(
-                jobs[position],
-                result,
-                digest=digests[position],
-                key=keys[position],
-            )
-        _absorb(position, result)
-
-    def record_batch(batch: Sequence[Tuple[int, Any]]) -> None:
-        """Persist and file one chunk's results in a single store
-        transaction (chunked backends call this once per chunk)."""
+    def record(batch: Sequence[Tuple[int, Any]]) -> None:
+        """Persist and file completed results in one store transaction
+        the moment they exist — out-of-order chunk completions reach
+        the store immediately, so a killed parallel run keeps
+        everything that actually finished."""
         if store is not None:
             store.put_many([
                 (jobs[position], result, digests[position], keys[position])
                 for position, result in batch
             ])
-        for position, result in batch:
-            _absorb(position, result)
+        by_position.update(batch)
+        _report()
 
-    if progress is not None:
-        # Reused cells forming the plan prefix are reportable at once.
-        while reported in by_position:
-            progress(reported + 1, len(jobs), by_position[reported])
-            reported += 1
+    # Reused cells forming the plan prefix are reportable at once.
+    _report()
     if pool is None:
         workers = available_cpu_count() if max_workers is None else max_workers
         workers = max(1, min(workers, max(1, len(pending))))
         pool = SerialPool() if workers == 1 else ProcessPool(workers)
     if pending:
-        pool.run(PoolTask(
-            pending=pending,
-            run_cell=_run_cell,
-            record=record,
-            record_batch=record_batch,
-            store=store,
-        ))
+        pool.run(PoolTask(pending=pending, run_cell=_run_cell, record=record))
 
     result_set = ResultSet([by_position[i] for i in range(len(jobs))])
     result_set.run_stats = RunStats(
@@ -574,7 +548,6 @@ def run_grid(
         executed=len(pending),
         reused=len(cached),
         shard=shard,
-        hosts=getattr(pool, "host_stats", None),
         workloads=getattr(pool, "plane_stats", None),
         chunks=getattr(pool, "chunk_count", None),
     )

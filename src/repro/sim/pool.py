@@ -1,9 +1,9 @@
 """Pluggable execution backends for the experiment grid engine.
 
 :func:`~repro.sim.experiment.run_grid` plans cells; a *pool* executes
-them. This module provides the backend interface and three
+them. This module provides the backend interface and two
 implementations, in the style of instrumentation-infra's ``Pool`` →
-``ProcessPool``/``PrunPool`` split:
+``ProcessPool`` split:
 
 - :class:`SerialPool` — in-process, one cell at a time (the
   ``max_workers=1`` path);
@@ -11,47 +11,28 @@ implementations, in the style of instrumentation-infra's ``Pool`` →
   fan-out with interrupt-safe draining: on Ctrl-C, queued cells are
   cancelled, already-completed results still reach the store, and the
   :class:`KeyboardInterrupt` re-raises — so an interrupted grid rerun
-  with ``--resume`` recomputes only genuinely unfinished cells;
-- :class:`SshPool` — a dependency-free multi-host backend that launches
-  ``repro grid --shard i/N --store ...`` on each host over plain
-  ``ssh``, streams the greppable ``store:`` progress lines back live,
-  monitors worker liveness, reassigns a dead host's shard to a
-  survivor, and collects the remote stores into the coordinator's
-  store via :meth:`~repro.sim.store.ResultStore.merge_from`.
+  with ``--resume`` recomputes only genuinely unfinished cells.
 
 Backends share one failure contract: a failing cell raises a
 :class:`RuntimeError` naming the cell (:func:`wrap_cell_error`),
 identically on every backend.
 
-The groundwork that makes the SSH backend coordination-free already
-lives in :mod:`repro.sim.store`: :func:`~repro.sim.store.shard_of`
-partitions cells by a machine-stable, fingerprint-free digest (every
-host agrees on the split without talking to the others), and the
-content-addressed store makes merges idempotent — adopting the same
-cell twice writes identical bytes under the same name.
+Spanning machines needs no backend here. Node placement is left to
+whatever launches the processes: each machine runs one digest-stable
+``--shard i/n`` slice into its own store
+(:func:`~repro.sim.store.shard_of` partitions cells without any
+coordination), and the copied stores are merged by digest with
+``repro store import`` (:meth:`~repro.sim.store.ResultStore.merge_from`).
 """
 
 from __future__ import annotations
 
 import os
-import shlex
-import subprocess
-import tarfile
-import tempfile
-import threading
-import time
-import re
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.registry import EVALUATIONS
-from repro.sim.store import (
-    STORE_FILE,
-    MergeStats,
-    ResultStore,
-)
 from repro.workloads import plane
 
 
@@ -203,94 +184,42 @@ def wrap_cell_error(cell: Any, error: BaseException) -> RuntimeError:
     )
 
 
-@dataclass(frozen=True)
-class HostStats:
-    """Per-worker accounting of one :class:`SshPool` run.
-
-    Attributes:
-        label: Display name of the worker (the host, suffixed ``#k``
-            when the same host appears several times in the list).
-        host: The ssh destination (``user@machine``).
-        shards: Shard indices this worker ran (a reassigned shard
-            appears on the survivor that picked it up).
-        executed: Cells the worker computed remotely (summed from its
-            streamed ``store:`` lines).
-        reused: Cells the worker's remote runs served from its store.
-        ok: ``False`` when the worker died (its ssh process exited
-            non-zero); its shards were reassigned to survivors.
-    """
-
-    label: str
-    host: str
-    shards: Tuple[int, ...]
-    executed: int
-    reused: int
-    ok: bool
-
-
 @dataclass
 class PoolTask:
     """Everything a backend needs to execute one grid run's slice.
 
     Attributes:
         pending: ``(plan position, cell)`` pairs to execute, in plan
-            order (cells already served by the coordinator's store are
-            not included).
+            order (cells already served by the store are not included).
         run_cell: Runs one cell in-process and returns its result
             (:func:`repro.sim.experiment._run_cell`).
-        record: ``record(position, result)`` files one completed
-            result — it persists to the store immediately and reports
-            progress for the contiguous completed prefix. Backends must
-            call it from the thread that called :meth:`Pool.run`.
-        record_batch: ``record_batch(batch)`` files a chunk's completed
-            ``(position, result)`` pairs in one call — one store
-            transaction per chunk instead of per cell. Optional (the
-            engine provides it; hand-built tasks may omit it) — use
-            :meth:`record_all`, which falls back to per-cell ``record``.
-        store: The coordinator's :class:`~repro.sim.store.ResultStore`
-            when the run has one; required by :class:`SshPool` (remote
-            results travel through stores).
+        record: ``record(batch)`` files completed ``(position, result)``
+            pairs — it persists them to the store in one transaction
+            and reports progress for the contiguous completed prefix.
+            Backends must call it from the thread that called
+            :meth:`Pool.run`.
     """
 
     pending: List[Tuple[int, Any]]
     run_cell: Callable[[Any], Any]
-    record: Callable[[int, Any], None]
-    record_batch: Optional[Callable[[Sequence[Tuple[int, Any]]], None]] = None
-    store: Optional[ResultStore] = None
-
-    def record_all(self, batch: Sequence[Tuple[int, Any]]) -> None:
-        """File a batch through ``record_batch`` (or per-cell fallback)."""
-        if not batch:
-            return
-        if self.record_batch is not None:
-            self.record_batch(batch)
-        else:
-            for position, result in batch:
-                self.record(position, result)
+    record: Callable[[Sequence[Tuple[int, Any]]], None]
 
 
 class Pool:
     """Execution-backend interface for :func:`~repro.sim.experiment.run_grid`.
 
-    A pool executes the pending cells of one grid run and files each
-    completed result through ``task.record``. Implementations may run
-    cells in-process, across local processes, or on other machines —
-    the engine neither knows nor cares, which is what makes every
-    store/shard/resume feature composable across backends.
+    A pool executes the pending cells of one grid run and files the
+    completed results through ``task.record``. Implementations may run
+    cells in-process or across local processes — the engine neither
+    knows nor cares, which is what makes every store/shard/resume
+    feature composable across backends.
     """
 
     #: Human-readable backend name (used in error messages and logs).
     name = "pool"
 
-    #: Per-host accounting, populated by multi-host backends after
-    #: :meth:`run` (``None`` for single-machine pools); rolled into
-    #: :class:`~repro.sim.experiment.RunStats`.
-    host_stats: Optional[Tuple[HostStats, ...]] = None
-
-    #: Workload-plane accounting of the run, populated by the
-    #: single-machine backends after :meth:`run` (``None`` for
-    #: multi-host backends — each remote run reports its own plane
-    #: line); rolled into
+    #: Workload-plane accounting of the run, populated by the backend
+    #: after :meth:`run`; rolled into
     #: :class:`~repro.sim.experiment.RunStats`.
     plane_stats: Optional[plane.PlaneStats] = None
 
@@ -325,7 +254,7 @@ class SerialPool(Pool):
                     result = task.run_cell(cell)
                 except Exception as error:
                     raise wrap_cell_error(cell, error) from error
-                task.record(position, result)
+                task.record([(position, result)])
         finally:
             self.plane_stats = plane.local_stats() - before
 
@@ -424,7 +353,8 @@ class ProcessPool(Pool):
 
     def _file(self, outcome: ChunkOutcome, task: PoolTask) -> None:
         """Record a chunk's completed cells and count its plane delta."""
-        task.record_all(outcome.completed)
+        if outcome.completed:
+            task.record(outcome.completed)
         self.plane_stats += outcome.plane_delta
 
     def _drain_completed(
@@ -443,402 +373,3 @@ class ProcessPool(Pool):
             except BaseException:
                 continue
             self._file(outcome, task)
-
-
-def parse_hosts(text: str) -> List[str]:
-    """Parse a ``--hosts`` argument into an ssh destination list.
-
-    Accepts a comma-separated list (``user@h1,user@h2``) or ``@file``
-    — a file with one host per line, blank lines and ``#`` comments
-    skipped. The same host may appear several times (two workers on
-    one machine). Raises :class:`ValueError` when no hosts remain.
-    """
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as handle:
-            candidates = [line.strip() for line in handle]
-        hosts = [h for h in candidates if h and not h.startswith("#")]
-    else:
-        hosts = [h.strip() for h in text.split(",") if h.strip()]
-    if not hosts:
-        raise ValueError(f"no hosts in {text!r}")
-    return hosts
-
-
-def remote_command(argv: Sequence[str], cwd: Optional[str] = None) -> str:
-    """One shell command replaying ``argv`` on a remote host.
-
-    The command changes into ``cwd`` (the coordinator's working
-    directory by default — hosts are assumed to share the repository
-    layout, e.g. a shared filesystem or identical checkouts) and
-    re-exports the coordinator's ``PYTHONPATH`` so ``python -m repro``
-    resolves the same way it does locally. Every argument is
-    shell-quoted.
-    """
-    cwd = cwd or os.getcwd()
-    command = " ".join(shlex.quote(arg) for arg in argv)
-    python_path = os.environ.get("PYTHONPATH")
-    if python_path:
-        command = f"PYTHONPATH={shlex.quote(python_path)} {command}"
-    return f"cd {shlex.quote(cwd)} && {command}"
-
-
-#: The greppable per-run accounting line `repro` commands print for
-#: stored runs; the coordinator parses it out of each worker's stream.
-_STORE_LINE = re.compile(
-    r"store: executed (\d+), reused (\d+) of (\d+) cells"
-)
-
-
-class _SshWorker:
-    """One remote shard run: an ssh subprocess plus its stream reader."""
-
-    def __init__(
-        self,
-        ssh: Sequence[str],
-        host: str,
-        label: str,
-        shard: int,
-        command: str,
-        echo: Callable[[str, str], None],
-    ):
-        self.host = host
-        self.label = label
-        self.shard = shard
-        self.executed = 0
-        self.reused = 0
-        self.process = subprocess.Popen(
-            list(ssh) + [host, command],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        self._echo = echo
-        self.thread = threading.Thread(target=self._pump, daemon=True)
-        self.thread.start()
-
-    def _pump(self) -> None:
-        """Stream the worker's output live, harvesting ``store:`` lines."""
-        assert self.process.stdout is not None
-        for raw in self.process.stdout:
-            line = raw.rstrip("\n")
-            match = _STORE_LINE.search(line)
-            if match:
-                self.executed += int(match.group(1))
-                self.reused += int(match.group(2))
-            self._echo(self.label, line)
-
-    def finish(self) -> int:
-        """Join the reader and return the process's exit code."""
-        self.thread.join(timeout=10)
-        return self.process.wait()
-
-
-@dataclass
-class _HostSlot:
-    """Mutable per-worker accounting while an :class:`SshPool` runs."""
-
-    label: str
-    host: str
-    shards: List[int] = field(default_factory=list)
-    executed: int = 0
-    reused: int = 0
-    ok: bool = True
-
-    def freeze(self) -> HostStats:
-        """The immutable record rolled into ``RunStats``."""
-        return HostStats(
-            label=self.label,
-            host=self.host,
-            shards=tuple(self.shards),
-            executed=self.executed,
-            reused=self.reused,
-            ok=self.ok,
-        )
-
-
-class SshPool(Pool):
-    """Multi-host execution over plain ``ssh`` — no dependencies.
-
-    The coordinator splits the grid into ``len(hosts)`` digest-stable
-    shards and launches ``remote_argv + ["--shard", "i/N"]`` on host
-    ``i`` (each remote run resumes against ``remote_store``). Worker
-    output streams back live, prefixed ``[host]``; the greppable
-    ``store:`` lines are parsed into per-host executed/reused
-    accounting. A worker whose ssh process dies has its partial store
-    collected (best-effort) and its shard reassigned to a surviving
-    host; when every host has died the run raises. Completed shards'
-    stores are collected into the coordinator's store via
-    :meth:`~repro.sim.store.ResultStore.merge_from` — directly when
-    the remote store path is visible on the coordinator (shared
-    filesystem, localhost), else by streaming a tarball over ssh —
-    and the pending cells are then recorded from the merged store.
-    Cells no remote run produced (after host deaths, or unverifiable
-    trace-workload entries) are recomputed locally, accounted under a
-    ``local`` pseudo-host.
-
-    Args:
-        hosts: ssh destinations; duplicates run several workers on one
-            machine (see :func:`parse_hosts`).
-        remote_argv: The command each host replays, *without* shard
-            flags — typically ``[python, -m, repro, grid, ...,
-            --store, <remote_store>, --resume]``. It must describe the
-            same grid the coordinator planned; shard selection is
-            appended per host.
-        remote_store: The store directory path on the remote hosts.
-        ssh: ssh command argv (default ``ssh -o BatchMode=yes``;
-            override with a shim for tests or with custom options).
-        echo: ``echo(label, line)`` sink for streamed worker output
-            (default: print ``[label] line``).
-        shared_fs: Force the store-collection strategy: ``True`` reads
-            ``remote_store`` directly from the coordinator's
-            filesystem, ``False`` always streams a tarball over ssh,
-            ``None`` (default) auto-detects per collection.
-        poll_interval: Liveness-poll period in seconds.
-    """
-
-    name = "ssh"
-
-    #: Default ssh invocation; BatchMode fails fast instead of hanging
-    #: on a password prompt inside a batch run.
-    DEFAULT_SSH = ("ssh", "-o", "BatchMode=yes")
-
-    def __init__(
-        self,
-        hosts: Sequence[str],
-        remote_argv: Sequence[str],
-        remote_store: str,
-        ssh: Optional[Sequence[str]] = None,
-        echo: Optional[Callable[[str, str], None]] = None,
-        shared_fs: Optional[bool] = None,
-        poll_interval: float = 0.05,
-    ):
-        """Configure the backend; nothing launches until :meth:`run`."""
-        if not hosts:
-            raise ValueError("SshPool needs at least one host")
-        self.hosts = list(hosts)
-        self.remote_argv = list(remote_argv)
-        self.remote_store = remote_store
-        self.ssh = list(ssh) if ssh is not None else list(self.DEFAULT_SSH)
-        self.shared_fs = shared_fs
-        self.poll_interval = poll_interval
-        self._print_lock = threading.Lock()
-        self._echo = echo if echo is not None else self._print_line
-
-    def _print_line(self, label: str, line: str) -> None:
-        """Default echo sink: ``[host] line`` to stdout, live."""
-        with self._print_lock:
-            print(f"[{label}] {line}", flush=True)
-
-    def _labels(self) -> List[str]:
-        """Unique display labels (``host``, ``host#2``, ... for dups)."""
-        counts: Dict[str, int] = {}
-        labels = []
-        for host in self.hosts:
-            counts[host] = counts.get(host, 0) + 1
-            suffix = f"#{counts[host]}" if counts[host] > 1 else ""
-            labels.append(host + suffix)
-        return labels
-
-    # -- orchestration -------------------------------------------------
-
-    def run(self, task: PoolTask) -> None:
-        """Shard the grid across the hosts, merge, and record.
-
-        Raises :class:`ValueError` without a coordinator store (remote
-        results travel through stores), :class:`RuntimeError` when a
-        shard failed on every host that tried it. ``KeyboardInterrupt``
-        terminates the remote workers and re-raises — the remote stores
-        keep their completed cells, so a later ``--resume`` (or
-        ``--hosts`` rerun) picks up where the interrupt hit.
-        """
-        if task.store is None:
-            raise ValueError(
-                "SshPool needs run_grid(store=...): remote results are "
-                "collected through the result store"
-            )
-        slots = {
-            label: _HostSlot(label=label, host=host)
-            for label, host in zip(self._labels(), self.hosts)
-        }
-        self._orchestrate(task, slots)
-        local = self._record_from_store(task, slots)
-        stats = [slot.freeze() for slot in slots.values()]
-        if local is not None:
-            stats.append(local)
-        self.host_stats = tuple(stats)
-
-    def _orchestrate(
-        self, task: PoolTask, slots: Dict[str, _HostSlot]
-    ) -> None:
-        """Drive remote workers until every shard has completed once."""
-        count = len(self.hosts)
-        shard_queue: "deque[int]" = deque(range(count))
-        idle: "deque[str]" = deque(slots)
-        running: List[_SshWorker] = []
-        done: set = set()
-        failures: List[str] = []
-        try:
-            while len(done) < count:
-                while shard_queue and idle:
-                    label = idle.popleft()
-                    shard = shard_queue.popleft()
-                    worker = self._launch(slots[label], shard, count)
-                    if worker is None:
-                        shard_queue.appendleft(shard)
-                        failures.append(
-                            f"shard {shard}: could not launch on {label}"
-                        )
-                    else:
-                        running.append(worker)
-                if not running:
-                    raise RuntimeError(
-                        f"grid shards {sorted(shard_queue)} have no live "
-                        f"host left: " + "; ".join(failures)
-                    )
-                time.sleep(self.poll_interval)
-                still_running = []
-                for worker in running:
-                    if worker.process.poll() is None:
-                        still_running.append(worker)
-                        continue
-                    code = worker.finish()
-                    slot = slots[worker.label]
-                    slot.executed += worker.executed
-                    slot.reused += worker.reused
-                    # Collect even a dead worker's store: its completed
-                    # cells are adopted, so reassignment (or a later
-                    # resume) never recomputes them.
-                    self._collect(worker.host, worker.label, task)
-                    if code == 0:
-                        done.add(worker.shard)
-                        idle.append(worker.label)
-                    else:
-                        slot.ok = False
-                        failures.append(
-                            f"shard {worker.shard} on {worker.label} "
-                            f"exited {code}"
-                        )
-                        self._echo(
-                            worker.label,
-                            f"worker died (exit {code}); reassigning "
-                            f"shard {worker.shard}",
-                        )
-                        shard_queue.append(worker.shard)
-                running = still_running
-        except BaseException:
-            for worker in running:
-                worker.process.terminate()
-            raise
-
-    def _launch(
-        self, slot: _HostSlot, shard: int, count: int
-    ) -> Optional[_SshWorker]:
-        """Start one shard on one host; ``None`` when ssh cannot spawn."""
-        argv = self.remote_argv + ["--shard", f"{shard}/{count}"]
-        try:
-            worker = _SshWorker(
-                self.ssh, slot.host, slot.label, shard,
-                remote_command(argv), self._echo,
-            )
-        except OSError as error:
-            slot.ok = False
-            self._echo(slot.label, f"cannot launch ssh: {error}")
-            return None
-        slot.shards.append(shard)
-        return worker
-
-    # -- store collection ----------------------------------------------
-
-    def _collect(self, host: str, label: str, task: PoolTask) -> None:
-        """Best-effort adoption of one host's store into the coordinator's.
-
-        Merging is idempotent (content-addressed, first-wins, atomic
-        per cell), so collecting after every worker exit — including
-        several workers sharing one remote directory — is safe. A
-        failed collection only costs local recomputation later, so it
-        warns instead of raising.
-        """
-        assert task.store is not None
-        try:
-            shared = self.shared_fs
-            if shared is None:
-                shared = os.path.isdir(self.remote_store)
-            if shared:
-                stats = task.store.merge_from(self.remote_store)
-            else:
-                stats = self._collect_over_ssh(host, task.store)
-            self._echo(
-                label,
-                f"collected store: adopted {stats.adopted}, already had "
-                f"{stats.present}, skipped {stats.unverified + stats.rejected}",
-            )
-        except Exception as error:
-            self._echo(label, f"store collection failed: {error}")
-
-    def _collect_over_ssh(self, host: str, store: ResultStore) -> MergeStats:
-        """Stream the remote store as a tarball and merge it by digest.
-
-        Dependency-free: ``tar`` on the remote side, :mod:`tarfile`
-        locally. Only the database file and its ``-wal`` file (which
-        holds commits not yet checkpointed into it, e.g. from a killed
-        worker) are extracted, by basename, into a staging directory —
-        so a hostile or confused archive cannot write outside it — and
-        opening the staged copy replays the WAL before the merge.
-        """
-        command = f"tar -C {shlex.quote(self.remote_store)} -cf - ."
-        proc = subprocess.run(
-            self.ssh + [host, command],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            check=True,
-        )
-        import io
-
-        with tempfile.TemporaryDirectory() as staging:
-            with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as archive:
-                for member in archive.getmembers():
-                    name = os.path.basename(member.name)
-                    wanted = name in (STORE_FILE, STORE_FILE + "-wal")
-                    if not member.isfile() or not wanted:
-                        continue
-                    extracted = archive.extractfile(member)
-                    if extracted is None:
-                        continue
-                    with open(os.path.join(staging, name), "wb") as handle:
-                        handle.write(extracted.read())
-            return store.merge_from(staging)
-
-    # -- recording -----------------------------------------------------
-
-    def _record_from_store(
-        self, task: PoolTask, slots: Dict[str, _HostSlot]
-    ) -> Optional[HostStats]:
-        """File every pending cell from the merged store, in plan order.
-
-        A cell no remote run produced (host death mid-shard before any
-        reassignment completed, or an entry the merge could not verify)
-        is recomputed locally — correctness never depends on the
-        remote side. Returns a ``local`` pseudo-host record when any
-        cell was, else ``None``.
-        """
-        assert task.store is not None
-        local_executed = 0
-        for position, cell in task.pending:
-            result = task.store.get(cell)
-            if result is None:
-                try:
-                    result = task.run_cell(cell)
-                except Exception as error:
-                    raise wrap_cell_error(cell, error) from error
-                local_executed += 1
-            task.record(position, result)
-        if not local_executed:
-            return None
-        return HostStats(
-            label="local",
-            host="local",
-            shards=(),
-            executed=local_executed,
-            reused=0,
-            ok=True,
-        )

@@ -553,22 +553,24 @@ class ResultStore:
 
         ``source`` is a store directory (read through ``ATTACH``) or a
         pre-sqlite directory of loose ``<digest>.json`` files and
-        ``pack.seg`` lines (``repro store import``). The multi-host
-        collection primitive: a coordinator merges each worker's store
-        after its shard completes. Adoption is one transaction and
-        idempotent — a row this store already holds is left alone (both
-        sides computed the same deterministic cell), so merging the
-        same source twice changes nothing.
+        ``pack.seg`` lines (``repro store import``). The multi-machine
+        collection primitive: each machine runs one ``--shard i/n``
+        slice into its own store, and the copied store directories are
+        merged into one. Adoption is one transaction and idempotent — a
+        row this store already holds is left alone (both sides computed
+        the same deterministic cell), so merging the same source twice
+        changes nothing. A copied source must include its
+        ``results.sqlite-wal`` file: rows a writer committed but never
+        checkpointed live only there.
 
         Entries are **digest-verified** before adoption: the entry's
         ``cell`` record must hash back to its address, so a renamed or
-        tampered entry from a remote host cannot poison the
-        coordinator's store. The record carries the same
-        fingerprint-bearing key the address was derived from, so
-        trace-workload entries verify like any other; entries written
-        before the payload carried the fingerprint fail the check and
-        are skipped (counted ``unverified``) — the coordinator
-        recomputes those cells. Corrupt or stale source entries are
+        tampered entry from another machine cannot poison this store.
+        The record carries the same fingerprint-bearing key the address
+        was derived from, so trace-workload entries verify like any
+        other; entries written before the payload carried the
+        fingerprint fail the check and are skipped (counted
+        ``unverified``) — a later run recomputes those cells. Corrupt or stale source entries are
         skipped as ``rejected``. Merging a store into itself is a
         no-op (everything counts as ``present``).
         """

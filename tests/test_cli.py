@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import multiprocessing
 import os
 import re
+import shutil
 import sqlite3
 from contextlib import closing
 
@@ -344,91 +346,93 @@ class TestCommands:
         assert set(reloaded.workloads) == {"povray", "lbm"}
 
 
-class TestMultiHost:
-    """The --hosts flag: flag validation plus an end-to-end run over a
-    fake ssh shim (two localhost "hosts" sharing the store)."""
+def fill_and_exit(argv):
+    """Fork target: run one CLI command, then exit without closing the
+    store, the way a killed machine leaves it — its rows stay in
+    ``results.sqlite-wal``, never checkpointed into the database file."""
+    main(argv)
+    os._exit(0)
 
-    GRID = ["grid", "--workloads", "povray", "--trh", "1200", "--cores",
-            "1", "--requests", "800", "--mitigations", "rrs"]
 
-    def test_hosts_needs_store(self):
-        with pytest.raises(SystemExit, match="--hosts needs --store"):
-            main(self.GRID + ["--hosts", "h1,h2"])
+class TestShardImport:
+    """The multi-machine recipe: one ``--shard i/n`` run per machine
+    into its own store, each store directory copied back and merged
+    with ``store import``, then a ``--resume`` that executes nothing."""
 
-    def test_hosts_rejects_shard(self, tmp_path):
-        with pytest.raises(SystemExit, match="drop --shard"):
-            main(self.GRID + [
-                "--hosts", "h1,h2", "--shard", "0/2",
-                "--store", str(tmp_path / "s"),
-            ])
+    GRID = ["grid", "--workloads", "povray", "--trh", "2400", "1200",
+            "--cores", "1", "--requests", "800", "--mitigations", "rrs",
+            "--jobs", "1"]
 
-    def test_hosts_rejects_empty_list(self, tmp_path):
-        with pytest.raises(SystemExit, match="--hosts"):
-            main(self.GRID + [
-                "--hosts", ",", "--store", str(tmp_path / "s"),
-            ])
+    @staticmethod
+    def imported(out):
+        return int(re.search(r"imported (\d+) entries", out).group(1))
 
-    def test_two_localhost_hosts_end_to_end(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """The CI smoke in miniature: a two-"host" localhost run fills
-        the store, then a plain --resume executes nothing."""
-        import repro
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(
-            repro.__file__)))
-        monkeypatch.setenv("PYTHONPATH", src)
-        shim = tmp_path / "fakessh"
-        shim.write_text('#!/bin/sh\nshift\nexec /bin/sh -c "$1"\n')
-        shim.chmod(0o755)
-        store = str(tmp_path / "store")
-        argv = self.GRID + ["--store", store]
-        assert main(argv + [
-            "--hosts", "localhost,localhost", "--ssh", str(shim),
+    def test_two_shards_import_into_one_store(self, capsys, tmp_path):
+        stores = [str(tmp_path / name) for name in ("a", "b")]
+        for index, store in enumerate(stores):
+            assert main(self.GRID + [
+                "--shard", f"{index}/2", "--store", store,
+            ]) == 0
+        capsys.readouterr()
+        merged = str(tmp_path / "m")
+        adopted = []
+        for store in stores:
+            assert main(["store", "import", store, merged]) == 0
+            adopted.append(self.imported(capsys.readouterr().out))
+        # Both shards hold cells, and together they cover the grid.
+        assert all(adopted) and sum(adopted) == 3
+        merged_json = str(tmp_path / "m.json")
+        assert main(self.GRID + [
+            "--store", merged, "--resume", "--json", merged_json,
         ]) == 0
-        first = capsys.readouterr().out
-        assert "host localhost:" in first
-        assert "host localhost#2:" in first
-        assert "store: executed 2, reused 0 of 2 cells" in first
-        assert main(argv + ["--resume"]) == 0
-        second = capsys.readouterr().out
-        assert "store: executed 0, reused 2 of 2 cells" in second
-
-    def test_remote_store_collected_over_ssh(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """--remote-store on a path the coordinator cannot see: the shim
-        maps @REMOTE@ to a directory only the "remote" side uses, so
-        collection streams the remote sqlite store over ssh + tar and
-        must adopt every remote cell."""
-        import repro
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(
-            repro.__file__)))
-        monkeypatch.setenv("PYTHONPATH", src)
-        remote_root = tmp_path / "remote-host"
-        monkeypatch.setenv("FAKE_REMOTE_ROOT", str(remote_root))
-        monkeypatch.chdir(tmp_path)
-        shim = tmp_path / "fakessh"
-        shim.write_text(
-            '#!/bin/sh\nshift\nexec /bin/sh -c "$(printf \'%s\' "$1" '
-            '| sed "s|@REMOTE@|$FAKE_REMOTE_ROOT|g")"\n'
+        assert "store: executed 0, reused 3 of 3 cells" in (
+            capsys.readouterr().out
         )
-        shim.chmod(0o755)
-        store = str(tmp_path / "store")
-        argv = self.GRID + ["--store", store]
-        assert main(argv + [
-            "--hosts", "localhost,localhost", "--ssh", str(shim),
-            "--remote-store", "@REMOTE@/store",
+        single_json = str(tmp_path / "single.json")
+        assert main(self.GRID + [
+            "--store", str(tmp_path / "single"), "--json", single_json,
         ]) == 0
-        first = capsys.readouterr().out
-        assert "store: executed 2, reused 0 of 2 cells" in first
-        assert (remote_root / "store" / STORE_FILE).exists()
-        adopted = re.findall(r"collected store: adopted (\d+)", first)
-        assert sum(int(count) for count in adopted) == 2
-        assert main(argv + ["--resume"]) == 0
-        second = capsys.readouterr().out
-        assert "store: executed 0, reused 2 of 2 cells" in second
+        with open(merged_json, "rb") as merged_file, \
+                open(single_json, "rb") as single_file:
+            assert merged_file.read() == single_file.read()
+        capsys.readouterr()
+        assert main(["store", "import", stores[0], merged]) == 0
+        assert self.imported(capsys.readouterr().out) == 0
+
+    def test_import_needs_the_wal_file_of_an_unclosed_store(
+        self, capsys, tmp_path
+    ):
+        """A store whose writer never closed it keeps its schema and
+        rows only in ``results.sqlite-wal``: a copy of the whole
+        directory imports every cell, and a copy of the database file
+        alone is refused, naming the file, instead of adopting 0."""
+        store = tmp_path / "store"
+        context = multiprocessing.get_context("fork")
+        child = context.Process(
+            target=fill_and_exit, args=(self.GRID + ["--store", str(store)],)
+        )
+        child.start()
+        child.join(120)
+        assert child.exitcode == 0
+        assert os.path.getsize(store / (STORE_FILE + "-wal")) > 0
+
+        full_copy = tmp_path / "full-copy"
+        shutil.copytree(store, full_copy)
+        merged = str(tmp_path / "m")
+        assert main(["store", "import", str(full_copy), merged]) == 0
+        assert self.imported(capsys.readouterr().out) == 3
+        assert main(self.GRID + ["--store", merged, "--resume"]) == 0
+        assert "store: executed 0, reused 3 of 3 cells" in (
+            capsys.readouterr().out
+        )
+
+        db_only = tmp_path / "db-only"
+        db_only.mkdir()
+        shutil.copy(store / STORE_FILE, db_only / STORE_FILE)
+        with pytest.raises(SystemExit, match=re.escape(
+            str(db_only / STORE_FILE)
+        )):
+            main(["store", "import", str(db_only), str(tmp_path / "m2")])
 
 
 class TestReportCommand:

@@ -1,22 +1,14 @@
-"""Tests for the execution backends (:mod:`repro.sim.pool`).
-
-The SshPool tests use a fake ``ssh`` shim — a shell script that drops
-the host argument and runs the remote command locally — so multi-host
-orchestration (sharding, live streaming, host death, reassignment,
-store collection) is exercised end-to-end without real remote hosts.
-"""
+"""Tests for the execution backends (:mod:`repro.sim.pool`)."""
 
 import dataclasses
 import os
 import sqlite3
-import sys
 import time
 from contextlib import closing
 from typing import ClassVar
 
 import pytest
 
-import repro
 from repro.registry import EVALUATIONS, register_evaluation
 from repro.sim import (
     ExperimentSpec,
@@ -24,19 +16,12 @@ from repro.sim import (
     ResultStore,
     SerialPool,
     SimulationParams,
-    SshPool,
     available_cpu_count,
-    parse_hosts,
     run_grid,
 )
-from repro.sim.pool import remote_command
 from repro.sim.store import STORE_FILE
 
-SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-
-# A spec whose cells the CLI reproduces exactly with default tracker/
-# engine/seed flags — remote `repro grid` runs must plan identical cells
-# (identical digests) or the coordinator would never see their results.
+# A small two-cell perf grid (one baseline, one rrs cell).
 SPEC = ExperimentSpec(
     workloads=["povray"],
     mitigations=["rrs"],
@@ -44,58 +29,6 @@ SPEC = ExperimentSpec(
         trh=1200, num_cores=1, requests_per_core=800, time_scale=32
     ),
 )
-
-GOOD_SSH = """#!/bin/sh
-# fake ssh: drop the host argument, run the command locally
-shift
-exec /bin/sh -c "$1"
-"""
-
-BAD_SSH = """#!/bin/sh
-# fake ssh where hosts named bad* are dead
-host="$1"; shift
-case "$host" in bad*) exit 17;; esac
-exec /bin/sh -c "$1"
-"""
-
-
-def write_shim(tmp_path, text):
-    path = tmp_path / "fakessh"
-    path.write_text(text)
-    path.chmod(0o755)
-    return str(path)
-
-
-def remote_argv(store_dir):
-    """The grid command a worker replays — mirrors _grid_remote_argv."""
-    return [
-        sys.executable, "-m", "repro", "grid",
-        "--workloads", "povray",
-        "--trh", "1200",
-        "--mitigations", "rrs",
-        "--cores", "1",
-        "--requests", "800",
-        "--jobs", "1",
-        "--store", str(store_dir),
-        "--resume",
-    ]
-
-
-def quiet(label, line):
-    """Echo sink that swallows worker output."""
-
-
-def ssh_pool(hosts, shim, store_dir, **kwargs):
-    return SshPool(
-        hosts, remote_argv(store_dir), str(store_dir), ssh=[shim],
-        echo=quiet, **kwargs,
-    )
-
-
-@pytest.fixture
-def remote_env(monkeypatch):
-    """Remote runs re-export PYTHONPATH; make it absolute for them."""
-    monkeypatch.setenv("PYTHONPATH", SRC_DIR)
 
 
 def stored_rows(store_dir):
@@ -356,121 +289,6 @@ class TestWorkerFaults:
         assert resumed.to_json() == serial.to_json()
 
 
-class TestHostParsing:
-    def test_comma_list(self):
-        assert parse_hosts("a@h1, b@h2,h3") == ["a@h1", "b@h2", "h3"]
-
-    def test_host_file(self, tmp_path):
-        hosts = tmp_path / "hosts"
-        hosts.write_text("# cluster\nuser@h1\n\nuser@h2\n")
-        assert parse_hosts(f"@{hosts}") == ["user@h1", "user@h2"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no hosts"):
-            parse_hosts(" , ")
-
-    def test_remote_command_quotes_and_reexports(self, monkeypatch):
-        monkeypatch.setenv("PYTHONPATH", "/some path/src")
-        command = remote_command(["python", "-m", "repro", "grid"],
-                                 cwd="/work dir")
-        assert command.startswith("cd '/work dir' && ")
-        assert "PYTHONPATH='/some path/src'" in command
-        assert command.endswith("python -m repro grid")
-
-
-class TestSshPool:
-    def test_two_localhost_hosts_cover_the_grid(
-        self, tmp_path, remote_env
-    ):
-        """The acceptance flow: two localhost "hosts" share a store;
-        the merged store serves a plain single-host resume with zero
-        executions, bit-identical to a single-host run."""
-        shim = write_shim(tmp_path, GOOD_SSH)
-        store_dir = tmp_path / "store"
-        pool = ssh_pool(["localhost", "localhost"], shim, store_dir)
-        results = run_grid(SPEC, store=str(store_dir), pool=pool)
-        stats = {h.label: h for h in results.run_stats.hosts}
-        assert set(stats) == {"localhost", "localhost#2"}
-        assert all(h.ok for h in stats.values())
-        assert sum(h.executed for h in stats.values()) == 2
-        assert sorted(s for h in stats.values() for s in h.shards) == [0, 1]
-        resumed = run_grid(SPEC, max_workers=1, store=str(store_dir))
-        assert resumed.run_stats.executed == 0
-        assert resumed.run_stats.reused == 2
-        assert resumed.to_json() == run_grid(SPEC, max_workers=1).to_json()
-
-    def test_dead_host_shard_reassigned_to_survivor(
-        self, tmp_path, remote_env
-    ):
-        shim = write_shim(tmp_path, BAD_SSH)
-        store_dir = tmp_path / "store"
-        pool = ssh_pool(["good", "bad"], shim, store_dir)
-        results = run_grid(SPEC, store=str(store_dir), pool=pool)
-        stats = {h.label: h for h in results.run_stats.hosts}
-        assert stats["bad"].ok is False
-        assert stats["good"].ok is True
-        # The survivor picked up the dead host's shard.
-        assert sorted(stats["good"].shards) == [0, 1]
-        assert len(results) == 2
-        assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
-
-    def test_dead_host_completed_cells_survive(self, tmp_path, remote_env):
-        """Cells a host completed before dying are collected from its
-        store and never recomputed: pre-populating the remote store
-        stands in for the dead host's partial progress."""
-        shim = write_shim(tmp_path, BAD_SSH)
-        remote_dir = tmp_path / "remote"
-        run_grid(SPEC, max_workers=1, store=str(remote_dir))
-        local_dir = tmp_path / "local"
-        pool = ssh_pool(["good", "bad"], shim, remote_dir)
-        results = run_grid(SPEC, store=str(local_dir), pool=pool)
-        stats = {h.label: h for h in results.run_stats.hosts}
-        assert stats["bad"].ok is False
-        # Nothing recomputed anywhere: every cell came from the store
-        # the "dead" host left behind.
-        assert sum(h.executed for h in stats.values()) == 0
-        assert stats["good"].reused == 2
-        assert entry_digests(local_dir) == entry_digests(remote_dir)
-        assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
-
-    def test_tar_collection_without_shared_fs(self, tmp_path, remote_env):
-        """shared_fs=False forces the tar-over-ssh collection path even
-        though the shim runs everything locally."""
-        shim = write_shim(tmp_path, GOOD_SSH)
-        remote_dir = tmp_path / "remote"
-        local_dir = tmp_path / "local"
-        lines = []
-        pool = SshPool(
-            ["localhost"], remote_argv(remote_dir), str(remote_dir),
-            ssh=[shim], echo=lambda label, line: lines.append(line),
-            shared_fs=False,
-        )
-        results = run_grid(SPEC, store=str(local_dir), pool=pool)
-        assert len(entry_digests(local_dir)) == 2
-        # Both cells arrived through the tarball: none was recomputed
-        # locally (no "local" pseudo-host).
-        assert "collected store: adopted 2, already had 0, skipped 0" in lines
-        assert [h.label for h in results.run_stats.hosts] == ["localhost"]
-        assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
-
-    def test_all_hosts_dead_raises(self, tmp_path, remote_env):
-        shim = write_shim(tmp_path, BAD_SSH)
-        store_dir = tmp_path / "store"
-        pool = ssh_pool(["bad", "bad2"], shim, store_dir)
-        with pytest.raises(RuntimeError, match="no live host"):
-            run_grid(SPEC, store=str(store_dir), pool=pool)
-
-    def test_needs_a_store(self, tmp_path):
-        shim = write_shim(tmp_path, GOOD_SSH)
-        pool = ssh_pool(["localhost"], shim, tmp_path / "store")
-        with pytest.raises(ValueError, match="store"):
-            run_grid(SPEC, pool=pool)
-
-    def test_needs_hosts(self):
-        with pytest.raises(ValueError, match="at least one host"):
-            SshPool([], ["true"], "/tmp/none")
-
-
 class TestSerialPoolContract:
     def test_serial_pool_runs_in_process(self, tmp_path, monkeypatch):
         """SerialPool never forks: a monkeypatched cell runner is seen
@@ -562,7 +380,7 @@ class TestWorkloadPlane:
         task = PoolTask(
             pending=list(enumerate(plan_cells(self.SPEC))),
             run_cell=run_perf_until_srs,
-            record=lambda position, result: recorded.add(position),
+            record=lambda batch: recorded.update(p for p, _ in batch),
         )
         with pytest.raises(KeyboardInterrupt):
             pool.run(task)

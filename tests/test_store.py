@@ -404,7 +404,7 @@ class TestResultStore:
 
 class TestMergeFrom:
     """Digest-verified adoption of one store's entries into another —
-    the multi-host collection primitive."""
+    the multi-machine collection primitive (``repro store import``)."""
 
     def fill_source(self, tmp_path):
         source = tmp_path / "source"
@@ -739,7 +739,7 @@ class TestPackedTier:
 
 class ChunkedSerialPool(Pool):
     """Runs cells in-process and files them three at a time through
-    ``record_all`` — the process pool's one ``put_many`` per chunk,
+    ``record`` — the process pool's one ``put_many`` per chunk,
     deterministically."""
 
     name = "chunked-serial"
@@ -747,7 +747,7 @@ class ChunkedSerialPool(Pool):
     def run(self, task):
         for start in range(0, len(task.pending), 3):
             chunk = task.pending[start:start + 3]
-            task.record_all([
+            task.record([
                 (position, task.run_cell(cell)) for position, cell in chunk
             ])
 
